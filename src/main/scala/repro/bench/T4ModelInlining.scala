@@ -4,9 +4,8 @@ import java.nio.file.Files
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.{expr, sum}
 import repro.bench.BenchUtil._
-import repro.core.opt.CrossOptimizer.ModelInlining
 import repro.data.HospitalData
-import repro.ml.{FeatureConstraint, ModelPruner, NumRange}
+import repro.ml.{DecisionTree, FeatureConstraint, ModelPruner, NumRange}
 import repro.runtime.{ClassicRuntime, CsvData, OutOfProcess}
 import repro.sparkext.{ModelRegistry, Raven, RavenRuntime}
 
@@ -40,7 +39,7 @@ object T4ModelInlining {
     val df = HospitalData.joinedDf(spark, rows, seed = 92).cache()
     df.count() // materialize the "database table"
 
-    val featureExprs = ModelInlining.featureSqlExprs(mp.pipeline)
+    val featureExprs = DecisionTree.featureSqlExprs(mp.pipeline)
     val caseSql = BenchModels.hospitalTree.toCaseSql(featureExprs)
     val rawIdx = mp.inputCols.map(df.schema.fieldIndex).toArray
 

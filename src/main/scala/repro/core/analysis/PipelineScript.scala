@@ -262,19 +262,10 @@ object PipelineScript {
     val mergedStore: String => ModelPipeline = modelStore
     val fullScript = (prefixLines :+ script).mkString("\n")
     val res = analyze(fullScript, new MergedCatalog(shadow, catalog), mergedStore, udfs)
-    res.copy(plans = res.plans.map(p => p.copy(ir = substitute(p.ir, substitutions.toMap))))
-  }
-
-  private def substitute(ir: IRNode, subs: Map[String, IRNode]): IRNode = ir match {
-    case IRScan(t, _) if subs.contains(t) => subs(t)
-    case s: IRScan                        => s
-    case f: IRFilter                      => f.copy(child = substitute(f.child, subs))
-    case p: IRProject                     => p.copy(child = substitute(p.child, subs))
-    case j: IRJoin => j.copy(left = substitute(j.left, subs), right = substitute(j.right, subs))
-    case p: IRPredict                     => p.copy(child = substitute(p.child, subs))
-    case p: IRInlinePredict               => p.copy(child = substitute(p.child, subs))
-    case p: IRNNPredict                   => p.copy(child = substitute(p.child, subs))
-    case u: IRUdf                         => u.copy(child = substitute(u.child, subs))
+    val subs = substitutions.toMap
+    res.copy(plans = res.plans.map(p => p.copy(ir = p.ir.transformUp {
+      case IRScan(t, _) if subs.contains(t) => subs(t)
+    })))
   }
 
   /** Catalog union used when splicing branch environments. */

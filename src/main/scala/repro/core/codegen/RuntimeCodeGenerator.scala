@@ -3,16 +3,18 @@ package repro.core.codegen
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.{col, expr}
 import repro.core.ir._
-import repro.sparkext.RavenRuntime
+import repro.ml.{DecisionTree, DecisionTreeModel, ModelPipeline, RandomForestModel}
+import repro.sparkext.{Raven, RavenRuntime}
 
-/** Raven's Runtime Code Generator (§5): lowers an (optimized) IR plan to
-  * the integrated engine — relational operators to Spark SQL, model
-  * invocations to the batched in-process runtime, inlined models to
-  * scalar SQL expressions compiled by whole-stage codegen.
+/** Raven's Runtime Code Generator (§5): lowers an IR plan to the integrated
+  * engine — relational operators to Spark SQL, model invocations to the
+  * `raven_predict` expression. The Catalyst rules Raven installs on the
+  * session ([[repro.sparkext.RavenRules]]) then prune, project and inline
+  * the model exactly as they do for a SQL query.
   *
-  * For fully-relational plans (everything inlined), [[toSql]] renders the
-  * whole query as engine-portable SQL, which the oracle tests execute on
-  * DuckDB to cross-check results.
+  * [[toSql]] renders a plan as engine-portable SQL, with each tree or forest
+  * predict as the original model's CASE expression; the oracle tests run
+  * it on DuckDB as the reference answer.
   */
 object RuntimeCodeGenerator {
 
@@ -31,13 +33,12 @@ object RuntimeCodeGenerator {
       if (lk == rk) lf.join(rf, Seq(lk))
       else lf.join(rf, lf(lk) === rf(rk)).drop(rf(rk))
     case IRPredict(out, mp, c) =>
-      // Ensure the (possibly optimizer-derived) pipeline is resolvable on executors.
-      repro.sparkext.ModelRegistry.deploy(mp)
-      RavenRuntime.predictBatch(toDataFrame(c, tables), mp.id, out)
+      val df = toDataFrame(c, tables)
+      Raven.installRuntimeOnly(df.sparkSession)
+      Raven.deploy(mp)
+      df.selectExpr("*", s"${Raven.predictSql(mp.id)} AS $out")
     case IRNNPredict(out, nn, c) =>
       RavenRuntime.predictNNBatch(toDataFrame(c, tables), nn, out)
-    case IRInlinePredict(out, caseSql, _, c) =>
-      toDataFrame(c, tables).withColumn(out, expr(caseSql))
     case IRUdf(_, out, inputCols, fn, c) =>
       RavenRuntime.applyUdf(toDataFrame(c, tables), inputCols, out, fn)
   }
@@ -48,7 +49,7 @@ object RuntimeCodeGenerator {
     toDataFrame(ir, tables)
   }
 
-  /** Render as portable SQL if the plan is fully relational. */
+  /** Render as portable SQL if every operator has a relational form. */
   def toSql(ir: IRNode): Option[String] = ir match {
     case IRScan(t, cols) =>
       Some(s"SELECT ${cols.mkString(", ")} FROM $t")
@@ -66,8 +67,18 @@ object RuntimeCodeGenerator {
         }
         s"SELECT ${outCols.mkString(", ")} FROM ($ls) AS la_ JOIN ($rs) AS ra_ ON la_.$lk = ra_.$rk"
       }
-    case IRInlinePredict(out, caseSql, _, c) =>
-      toSql(c).map(sub => s"SELECT *, ($caseSql) AS $out FROM ($sub) AS i_")
-    case _ => None // Predict/NNPredict/UDF are not expressible as portable SQL
+    case IRPredict(out, mp, c) =>
+      for { caseSql <- caseSql(mp); sub <- toSql(c) } yield s"SELECT *, ($caseSql) AS $out FROM ($sub) AS i_"
+    case _ => None // NNPredict/UDF are not expressible as portable SQL
+  }
+
+  /** A scaler-free tree or forest pipeline as one CASE expression over its raw columns. */
+  private def caseSql(mp: ModelPipeline): Option[String] = {
+    lazy val feats = DecisionTree.featureSqlExprs(mp.pipeline)
+    mp.model match {
+      case t: DecisionTreeModel if mp.scaler.isEmpty => Some(t.toCaseSql(feats))
+      case f: RandomForestModel if mp.scaler.isEmpty => Some(f.toCaseSql(feats))
+      case _                                         => None
+    }
   }
 }

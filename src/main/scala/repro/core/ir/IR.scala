@@ -24,7 +24,6 @@ sealed trait ScalarExpr {
     case And(l, r)       => s"(${l.toSql} AND ${r.toSql})"
     case Or(l, r)        => s"(${l.toSql} OR ${r.toSql})"
     case Not(e)          => s"(NOT ${e.toSql})"
-    case RawSql(sql)     => sql
   }
 
   def references: Set[String] = this match {
@@ -33,7 +32,6 @@ sealed trait ScalarExpr {
     case And(l, r)     => l.references ++ r.references
     case Or(l, r)      => l.references ++ r.references
     case Not(e)        => e.references
-    case RawSql(_)     => Set.empty // callers track raw-SQL inputs explicitly
     case _             => Set.empty
   }
 }
@@ -45,8 +43,6 @@ final case class Cmp(op: String, left: ScalarExpr, right: ScalarExpr) extends Sc
 final case class And(left: ScalarExpr, right: ScalarExpr) extends ScalarExpr
 final case class Or(left: ScalarExpr, right: ScalarExpr) extends ScalarExpr
 final case class Not(expr: ScalarExpr) extends ScalarExpr
-/** Pre-rendered SQL (e.g. an inlined decision tree CASE expression). */
-final case class RawSql(sql: String) extends ScalarExpr
 
 object ScalarExpr {
 
@@ -141,13 +137,26 @@ sealed trait IRNode {
     case IRProject(cols, _)              => s"Project(${cols.map(c => s"${c.expr.toSql} AS ${c.name}").mkString(", ")})"
     case IRJoin(_, _, lk, rk)            => s"Join($lk = $rk)"
     case IRPredict(out, mp, _)           => s"Predict[MLD](${mp.id} -> $out)"
-    case IRInlinePredict(out, _, _, _)   => s"InlinePredict[RA](-> $out)"
     case IRNNPredict(out, nn, _)         => s"NNPredict[LA](${nn.graph.name} -> $out)"
     case IRUdf(name, out, _, _, _)       => s"Udf($name -> $out)"
   }
 
   /** All nodes in this subtree, preorder. */
   def collectNodes: Seq[IRNode] = this +: children.flatMap(_.collectNodes)
+
+  /** Bottom-up rewrite: `f` sees each node after its children are rewritten. */
+  def transformUp(f: PartialFunction[IRNode, IRNode]): IRNode = {
+    val withNewChildren = this match {
+      case s: IRScan      => s
+      case n: IRFilter    => n.copy(child = n.child.transformUp(f))
+      case n: IRProject   => n.copy(child = n.child.transformUp(f))
+      case n: IRJoin      => n.copy(left = n.left.transformUp(f), right = n.right.transformUp(f))
+      case n: IRPredict   => n.copy(child = n.child.transformUp(f))
+      case n: IRNNPredict => n.copy(child = n.child.transformUp(f))
+      case n: IRUdf       => n.copy(child = n.child.transformUp(f))
+    }
+    f.applyOrElse(withNewChildren, identity[IRNode])
+  }
 }
 
 final case class IRScan(table: String, columns: Seq[String]) extends IRNode {
@@ -183,16 +192,6 @@ final case class IRJoin(left: IRNode, right: IRNode, leftKey: String, rightKey: 
   */
 final case class IRPredict(outputCol: String, pipeline: ModelPipeline, child: IRNode) extends IRNode {
   def category: OpCategory = OpCategory.MLD
-  def children: Seq[IRNode] = Seq(child)
-  def outputCols: Seq[String] = child.outputCols :+ outputCol
-}
-
-/** A model inlined as pure relational scalar logic (a CASE expression) —
-  * the post-model-inlining form, executable entirely by the SQL engine.
-  */
-final case class IRInlinePredict(outputCol: String, caseSql: String, inputCols: Seq[String], child: IRNode)
-    extends IRNode {
-  def category: OpCategory = OpCategory.RA
   def children: Seq[IRNode] = Seq(child)
   def outputCols: Seq[String] = child.outputCols :+ outputCol
 }

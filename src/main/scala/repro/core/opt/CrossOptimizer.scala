@@ -3,63 +3,17 @@ package repro.core.opt
 import repro.core.ir._
 import repro.ml._
 
-/** Configuration of Raven's heuristic Cross Optimizer (§4.3): every
-  * optimization is a transformation rule; the initial optimizer applies
-  * them in a fixed order.
-  *
-  * @param inlineMaxNodes inline tree models with at most this many nodes
-  *                       as relational CASE logic (0 disables inlining)
-  * @param inlineLinear   inline linear/logistic models as arithmetic SQL
-  * @param nnTranslate    translate remaining Predict operators to LA graphs
-  */
-final case class OptimizerConfig(
-    filterPushdown: Boolean = true,
-    predicatePruning: Boolean = true,
-    projectionPushdown: Boolean = true,
-    projectionPruning: Boolean = true,
-    joinElimination: Boolean = true,
-    inlineMaxNodes: Int = 512,
-    inlineLinear: Boolean = false,
-    nnTranslate: Boolean = false,
-)
-
-object OptimizerConfig {
-  /** Everything off — the unoptimized baseline. */
-  val off: OptimizerConfig = OptimizerConfig(
-    filterPushdown = false, predicatePruning = false, projectionPushdown = false,
-    projectionPruning = false, joinElimination = false, inlineMaxNodes = 0)
-}
-
-/** The Cross Optimizer: cross-IR optimizations (§4.1) + operator
-  * transformations (§4.2) applied as rewrite rules over the unified IR.
+/** The Cross Optimizer's relational half (§4.3): filter pushdown, then
+  * projection pruning with catalog-licensed join elimination, over the
+  * unified IR. The model rewrites — predicate-based pruning, model-projection
+  * pushdown and inlining — are Catalyst rules ([[repro.sparkext.RavenRules]])
+  * that fire on the lowered plan, so the IR and SQL paths share one model
+  * rewriter. NN translation is an explicit call, [[CrossOptimizer.NNTranslation]].
   */
 object CrossOptimizer {
 
-  def optimize(ir: IRNode, catalog: SchemaCatalog, config: OptimizerConfig = OptimizerConfig()): IRNode = {
-    var plan = ir
-    if (config.filterPushdown) plan = FilterPushdown(plan)
-    if (config.predicatePruning) plan = PredicateModelPruning(plan)
-    if (config.projectionPushdown) plan = ModelProjectionPushdown(plan)
-    plan = ModelInlining(plan, config)
-    if (config.nnTranslate) plan = NNTranslation(plan)
-    if (config.projectionPruning) plan = ProjectionPruning(plan, catalog, config.joinElimination)
-    plan
-  }
-
-  /** Bottom-up node transform. */
-  def transformUp(ir: IRNode)(f: PartialFunction[IRNode, IRNode]): IRNode = {
-    val withNewChildren = ir match {
-      case s: IRScan          => s
-      case n: IRFilter        => n.copy(child = transformUp(n.child)(f))
-      case n: IRProject       => n.copy(child = transformUp(n.child)(f))
-      case n: IRJoin          => n.copy(left = transformUp(n.left)(f), right = transformUp(n.right)(f))
-      case n: IRPredict       => n.copy(child = transformUp(n.child)(f))
-      case n: IRInlinePredict => n.copy(child = transformUp(n.child)(f))
-      case n: IRNNPredict     => n.copy(child = transformUp(n.child)(f))
-      case n: IRUdf           => n.copy(child = transformUp(n.child)(f))
-    }
-    f.applyOrElse(withNewChildren, identity[IRNode])
-  }
+  def optimize(ir: IRNode, catalog: SchemaCatalog): IRNode =
+    ProjectionPruning(FilterPushdown(ir), catalog)
 
   // ---- standard relational rules -----------------------------------------
 
@@ -79,7 +33,7 @@ object CrossOptimizer {
       cur
     }
 
-    private def step(ir: IRNode): IRNode = transformUp(ir) {
+    private def step(ir: IRNode): IRNode = ir.transformUp {
       case IRFilter(pred, IRFilter(inner, c)) => IRFilter(And(pred, inner), c)
 
       case f @ IRFilter(pred, p @ IRProject(cols, c)) =>
@@ -95,8 +49,6 @@ object CrossOptimizer {
         }
 
       case f @ IRFilter(pred, pr: IRPredict) =>
-        pushThroughAppend(f, pred, pr.outputCol, pr.child, ch => pr.copy(child = ch))
-      case f @ IRFilter(pred, pr: IRInlinePredict) =>
         pushThroughAppend(f, pred, pr.outputCol, pr.child, ch => pr.copy(child = ch))
       case f @ IRFilter(pred, pr: IRNNPredict) =>
         pushThroughAppend(f, pred, pr.outputCol, pr.child, ch => pr.copy(child = ch))
@@ -136,99 +88,13 @@ object CrossOptimizer {
     }
   }
 
-  // ---- cross-IR optimizations (§4.1) -------------------------------------
-
-  /** Predicate-based model pruning (data-to-model): predicates anywhere
-    * below a Predict constrain its input rows (inner-join plans), so the
-    * model can be specialized — tree branches eliminated, pinned one-hot
-    * blocks folded into linear intercepts.
-    */
-  object PredicateModelPruning {
-    def apply(ir: IRNode): IRNode = transformUp(ir) {
-      case p @ IRPredict(out, mp, child) if mp.scaler.isEmpty =>
-        val preds = collectPredicates(child)
-        if (preds.isEmpty) p
-        else {
-          val constraints = ModelPruner.toFeatureConstraints(mp.pipeline, preds)
-          if (constraints.isEmpty) p
-          else {
-            val pruned = ModelPruner.prune(mp.model, constraints)
-            IRPredict(out, mp.copy(id = s"${mp.id}#pruned", model = pruned), child)
-          }
-        }
-    }
-
-    /** All `col op literal` conjuncts of filters in the subtree. Sound for
-      * the supported plan shapes: every operator here either preserves rows
-      * (project/predict/udf append) or intersects them (filter, inner join).
-      */
-    def collectPredicates(ir: IRNode): Seq[ColPredicate] =
-      ir.collectNodes.collect { case IRFilter(pred, _) => ScalarExpr.toColPredicates(pred) }.flatten
-  }
-
-  /** Model-projection pushdown (model-to-data): drop raw input columns
-    * whose features the (possibly pruned) model no longer uses. The scan
-    * pruning and join elimination this unlocks happen in
-    * [[ProjectionPruning]].
-    */
-  object ModelProjectionPushdown {
-    def apply(ir: IRNode): IRNode = transformUp(ir) {
-      case p @ IRPredict(out, mp, child) if mp.scaler.isEmpty && projectable(mp.model) =>
-        val (optimized, dropped) = mp.optimizeFor(Nil)
-        if (dropped.isEmpty) p
-        else IRPredict(out, optimized.copy(id = s"${mp.id}#proj"), child)
-    }
-
-    /** Models we can rewrite over a compacted feature space. */
-    private def projectable(m: Model): Boolean = m match {
-      case _: DecisionTreeModel | _: RandomForestModel | _: LinearModel => true
-      case _                                                           => false
-    }
-  }
-
   // ---- operator transformations (§4.2) -----------------------------------
-
-  /** Model inlining: translate small tree (or forest) models — and
-    * optionally linear models — into portable SQL scalar expressions so the
-    * relational engine executes them natively (the Froid-style UDF-inlining
-    * path; in this reproduction the win comes from Spark whole-stage
-    * codegen and the elimination of the per-row model-runtime boundary).
-    */
-  object ModelInlining {
-    def apply(ir: IRNode, config: OptimizerConfig): IRNode = transformUp(ir) {
-      case p @ IRPredict(out, mp, child) if mp.scaler.isEmpty =>
-        val featureExprs = featureSqlExprs(mp.pipeline)
-        mp.model match {
-          case t: DecisionTreeModel if config.inlineMaxNodes > 0 && t.nodeCount <= config.inlineMaxNodes =>
-            IRInlinePredict(out, t.toCaseSql(featureExprs), mp.inputCols, child)
-          case f: RandomForestModel if config.inlineMaxNodes > 0 && f.totalNodes <= config.inlineMaxNodes =>
-            val sum = f.trees.map(t => s"(${t.toCaseSql(featureExprs)})").mkString(" + ")
-            IRInlinePredict(out, s"(($sum) / ${f.trees.size})", mp.inputCols, child)
-          case m: LinearModel if config.inlineLinear =>
-            val terms = m.weights.zipWithIndex.collect {
-              case (w, i) if w != 0.0 => s"($w * ${featureExprs(i)})"
-            }
-            val z = (terms :+ m.intercept.toString).mkString(" + ")
-            val sql = if (m.logistic) s"(1.0 / (1.0 + EXP(-($z))))" else s"($z)"
-            IRInlinePredict(out, sql, mp.inputCols, child)
-          case _ => p
-        }
-    }
-
-    /** SQL expression per feature index: numerics read the column directly,
-      * one-hot features become indicator CASE expressions.
-      */
-    def featureSqlExprs(pipeline: FeaturePipeline): IndexedSeq[String] =
-      (pipeline.numericCols.map(c => s"CAST($c AS DOUBLE)") ++
-        pipeline.encoders.flatMap(e => e.categories.map(v =>
-          s"(CASE WHEN ${e.inputCol} = '${v.replace("'", "''")}' THEN 1.0 ELSE 0.0 END)"))).toIndexedSeq
-  }
 
   /** NN translation: compile remaining Predict operators (featurizers
     * included) into OnnxLite LA graphs for execution by the NN runtime.
     */
   object NNTranslation {
-    def apply(ir: IRNode): IRNode = transformUp(ir) {
+    def apply(ir: IRNode): IRNode = ir.transformUp {
       case IRPredict(out, mp, child) if translatable(mp) =>
         IRNNPredict(out, NNPipelineModel(NNTranslator.translatePipeline(mp), mp.pipeline), child)
     }
@@ -241,42 +107,37 @@ object CrossOptimizer {
 
   /** Projection pruning + join elimination: narrow scans to the columns the
     * plan actually needs; an inner FK-join whose right side contributes
-    * nothing but its (primary-key) join key is dropped entirely — the
-    * situation model-projection pushdown creates when a table only supplied
-    * now-pruned features (§4.1).
+    * nothing but its (primary-key) join key is dropped entirely (§4.1).
     */
   object ProjectionPruning {
-    def apply(ir: IRNode, catalog: SchemaCatalog, joinElim: Boolean): IRNode =
-      prune(ir, ir.outputCols.toSet, catalog, joinElim)
+    def apply(ir: IRNode, catalog: SchemaCatalog): IRNode = prune(ir, ir.outputCols.toSet, catalog)
 
-    private def prune(ir: IRNode, needed: Set[String], catalog: SchemaCatalog, je: Boolean): IRNode = ir match {
+    private def prune(ir: IRNode, needed: Set[String], catalog: SchemaCatalog): IRNode = ir match {
       case IRScan(t, cols) =>
         val kept = cols.filter(needed.contains)
         IRScan(t, if (kept.isEmpty) cols.take(1) else kept) // keep ≥1 col for well-formedness
       case IRFilter(pred, c) =>
-        IRFilter(pred, prune(c, needed ++ pred.references, catalog, je))
+        IRFilter(pred, prune(c, needed ++ pred.references, catalog))
       case IRProject(cols, c) =>
         val keptCols = cols.filter(ne => needed.contains(ne.name))
         val finalCols = if (keptCols.isEmpty) cols else keptCols
-        IRProject(finalCols, prune(c, finalCols.flatMap(_.expr.references).toSet, catalog, je))
+        IRProject(finalCols, prune(c, finalCols.flatMap(_.expr.references).toSet, catalog))
       case IRJoin(l, r, lk, rk) =>
         val neededL = needed.intersect(l.outputCols.toSet) + lk
         val neededR = needed.intersect(r.outputCols.toSet) + rk
         val fromRight = needed.intersect(r.outputCols.toSet) - rk
         // rk must not be referenced downstream under a different name than lk
         val keyNameSafe = lk == rk || !needed.contains(rk)
-        if (je && fromRight.isEmpty && keyNameSafe && rowPreserving(l, lk, r, rk, catalog))
-          prune(l, needed.intersect(l.outputCols.toSet) + lk, catalog, je)
+        if (fromRight.isEmpty && keyNameSafe && rowPreserving(l, lk, r, rk, catalog))
+          prune(l, needed.intersect(l.outputCols.toSet) + lk, catalog)
         else
-          IRJoin(prune(l, neededL, catalog, je), prune(r, neededR, catalog, je), lk, rk)
+          IRJoin(prune(l, neededL, catalog), prune(r, neededR, catalog), lk, rk)
       case p @ IRPredict(out, mp, c) =>
-        p.copy(child = prune(c, (needed - out) ++ mp.inputCols, catalog, je))
-      case p @ IRInlinePredict(out, _, inputCols, c) =>
-        p.copy(child = prune(c, (needed - out) ++ inputCols, catalog, je))
+        p.copy(child = prune(c, (needed - out) ++ mp.inputCols, catalog))
       case p @ IRNNPredict(out, nn, c) =>
-        p.copy(child = prune(c, (needed - out) ++ nn.inputCols, catalog, je))
+        p.copy(child = prune(c, (needed - out) ++ nn.inputCols, catalog))
       case u @ IRUdf(_, out, inputCols, _, c) =>
-        u.copy(child = prune(c, (needed - out) ++ inputCols, catalog, je))
+        u.copy(child = prune(c, (needed - out) ++ inputCols, catalog))
     }
 
     /** The join is droppable iff the right side is a bare scan of a table

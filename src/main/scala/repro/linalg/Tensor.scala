@@ -53,7 +53,6 @@ final class Tensor(val rows: Int, val cols: Int, val data: Array[Float]) extends
 
   /** Elementwise `this < other` (broadcast row allowed) as 0/1 floats. */
   def lt(other: Tensor): Tensor  = zipBroadcast(other, (a, b) => if (a < b) 1f else 0f)
-  def le(other: Tensor): Tensor  = zipBroadcast(other, (a, b) => if (a <= b) 1f else 0f)
   def eq0(other: Tensor): Tensor = zipBroadcast(other, (a, b) => if (a == b) 1f else 0f)
 
   def map(f: Float => Float): Tensor = {
@@ -100,20 +99,6 @@ final class Tensor(val rows: Int, val cols: Int, val data: Array[Float]) extends
       r += 1
     }
     new Tensor(rows, totalCols, out)
-  }
-
-  /** Index of the max element per row, as a (rows x 1) tensor. */
-  def argmaxRows: Tensor = {
-    val out = new Array[Float](rows)
-    var r = 0
-    while (r < rows) {
-      var best = 0; var bestV = data(r * cols)
-      var c = 1
-      while (c < cols) { val v = data(r * cols + c); if (v > bestV) { bestV = v; best = c }; c += 1 }
-      out(r) = best.toFloat
-      r += 1
-    }
-    new Tensor(rows, 1, out)
   }
 
   def sumRows: Tensor = {

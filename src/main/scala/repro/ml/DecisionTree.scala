@@ -92,6 +92,15 @@ final case class DecisionTreeModel(
 
 object DecisionTree {
 
+  /** SQL expression per feature index of `pipeline`, for [[DecisionTreeModel.toCaseSql]]:
+    * numerics read the column directly, one-hot features become indicator
+    * CASE expressions.
+    */
+  def featureSqlExprs(pipeline: FeaturePipeline): IndexedSeq[String] =
+    (pipeline.numericCols.map(c => s"CAST($c AS DOUBLE)") ++
+      pipeline.encoders.flatMap(e => e.categories.map(v =>
+        s"(CASE WHEN ${e.inputCol} = '${v.replace("'", "''")}' THEN 1.0 ELSE 0.0 END)"))).toIndexedSeq
+
   /** Train a CART tree.
     *
     * Splits are chosen among per-feature quantile candidate thresholds
@@ -193,6 +202,10 @@ final case class RandomForestModel(trees: IndexedSeq[DecisionTreeModel], isClass
   def usedFeatures: Set[Int] = trees.iterator.flatMap(_.usedFeatures).toSet
 
   def totalNodes: Int = trees.map(_.nodeCount).sum
+
+  /** The mean of the trees' CASE expressions ([[DecisionTreeModel.toCaseSql]]). */
+  def toCaseSql(featureExprs: IndexedSeq[String]): String =
+    s"((${trees.map(t => s"(${t.toCaseSql(featureExprs)})").mkString(" + ")}) / ${trees.size})"
 }
 
 object RandomForest {

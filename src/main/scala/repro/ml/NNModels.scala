@@ -3,22 +3,6 @@ package repro.ml
 import repro.linalg.Tensor
 import repro.onnx.{GraphDef, Session}
 
-/** A numeric-vector model backed by an OnnxLite graph (post NN
-  * translation). The session is built lazily and cached per instance.
-  */
-final case class NNModel(graph: GraphDef, numFeatures: Int) extends Model {
-
-  @transient private lazy val session = new Session(graph)
-
-  def predict(x: Array[Double]): Double = predictBatch(Array(x))(0)
-
-  override def predictBatch(xs: Array[Array[Double]]): Array[Double] =
-    if (xs.isEmpty) Array.empty else session.predictBatch(xs)
-
-  /** Unknown at the graph level without shape analysis; report all. */
-  def usedFeatures: Set[Int] = (0 until numFeatures).toSet
-}
-
 /** A whole NN-translated pipeline: raw rows in, predictions out. Feeds the
   * graph one column at a time (numerics as-is, categoricals as vocabulary
   * indices).

@@ -4,18 +4,18 @@ import repro.linalg.Tensor
 
 /** Operator kernels for the OnnxLite runtime.
   *
-  * The set is the intersection of ONNX ops our NN translator
-  * ([[repro.ml.NNTranslator]]) emits: GEMM-style linear algebra, the
-  * comparisons used by the Hummingbird-style tree compilation, the
-  * activations used by MLP/logistic models, and `OneHot`/`Concat` for
-  * in-graph featurization.
+  * The set is exactly the ONNX ops the NN translator
+  * ([[repro.ml.NNTranslator]]) emits: GEMM-style linear algebra (`MatMul`,
+  * `Add`, `Sum`, `Scale`), the scaler's `Sub`/`Mul`, the comparisons of the
+  * Hummingbird-style tree compilation (`Less`, `Equal`), the activations of
+  * MLP/logistic models (`Sigmoid`, `Relu`, `Tanh`), and `OneHot`/`Concat`
+  * for in-graph featurization.
   */
 object Ops {
 
   val supported: Set[String] = Set(
-    "MatMul", "Add", "Sub", "Mul", "Less", "LessOrEqual", "Equal",
+    "MatMul", "Add", "Sub", "Mul", "Less", "Equal",
     "Sigmoid", "Relu", "Tanh", "Scale", "Sum", "Concat", "OneHot",
-    "ArgMax", "Identity",
   )
 
   /** Execute one node over resolved input tensors.
@@ -29,14 +29,11 @@ object Ops {
     case "Sub"         => binary(node, inputs)(_.sub(_))
     case "Mul"         => binary(node, inputs)(_.mul(_))
     case "Less"        => binary(node, inputs)(_.lt(_))
-    case "LessOrEqual" => binary(node, inputs)(_.le(_))
     case "Equal"       => binary(node, inputs)(_.eq0(_))
     case "Sigmoid"     => unary(node, inputs)(_.map(v => (1.0 / (1.0 + math.exp(-v))).toFloat))
     case "Relu"        => unary(node, inputs)(_.map(v => math.max(0f, v)))
     case "Tanh"        => unary(node, inputs)(_.map(v => math.tanh(v).toFloat))
-    case "Identity"    => unary(node, inputs)(identity)
     case "Scale"       => unary(node, inputs)(_.scale(attr(node, "scale")))
-    case "ArgMax"      => unary(node, inputs)(_.argmaxRows)
     case "Sum" =>
       require(inputs.nonEmpty, s"Sum ${node.output}: no inputs")
       inputs.reduce(_.add(_))

@@ -49,18 +49,3 @@ final class Session(
     out.data.map(_.toDouble)
   }
 }
-
-/** Process-wide session cache keyed by model id — the analogue of SQL
-  * Server's model/inference-session cache that makes warm small-batch
-  * queries fast (§5 observation ii).
-  */
-object SessionCache {
-  private val cache = new java.util.concurrent.ConcurrentHashMap[String, Session]()
-
-  def get(modelId: String, graph: => GraphDef, parallelism: Int = 1): Session =
-    cache.computeIfAbsent(modelId, _ => new Session(graph, optimizeGraph = true, parallelism))
-
-  def invalidate(modelId: String): Unit = cache.remove(modelId)
-  def clear(): Unit = cache.clear()
-  def size: Int = cache.size
-}

@@ -1,11 +1,12 @@
 package repro.sparkext
 
 import java.nio.file.{Files, Path}
+import scala.collection.mutable
 import repro.ml.{ColPredicate, ModelPipeline}
 
 /** In-DB model store (§2): deployed model pipelines live inside the engine
-  * and are invoked by id from SQL. Also tracks pipelines derived by the
-  * optimizer (pruned/projected variants), memoized so the fixed-point
+  * and are invoked by id from SQL. Also holds the variants the optimizer
+  * derives from them (pruned/projected), memoized so the fixed-point
   * optimizer converges and repeated queries reuse compiled variants.
   *
   * A process-wide object: in `local[*]` executors share the JVM with the
@@ -14,12 +15,23 @@ import repro.ml.{ColPredicate, ModelPipeline}
 object ModelRegistry {
 
   private val models = new java.util.concurrent.ConcurrentHashMap[String, ModelPipeline]()
-  /** (root id, derivation key) → derived id */
-  private val derivations = new java.util.concurrent.ConcurrentHashMap[(String, String), String]()
-  /** derived id → root id */
-  private val roots = new java.util.concurrent.ConcurrentHashMap[String, String]()
+  /** (root id, predicates) → derived id */
+  private val derivations = mutable.Map[(String, Set[ColPredicate]), String]()
+  /** derived id → (root id, the predicates it was derived under) */
+  private val lineage = mutable.Map[String, (String, Set[ColPredicate])]()
+  private var variants = 0L
 
-  def deploy(mp: ModelPipeline): Unit = models.put(mp.id, mp)
+  /** Deploys `mp` under its id. Deploying a different pipeline under an id
+    * drops the variants derived from the one it replaces.
+    */
+  def deploy(mp: ModelPipeline): Unit = synchronized {
+    val old = models.put(mp.id, mp)
+    if (old != null && !(old eq mp)) {
+      val stale = lineage.collect { case (id, (root, _)) if root == mp.id => id }
+      stale.foreach { id => models.remove(id); lineage.remove(id) }
+      derivations.filterInPlace { case ((root, _), _) => root != mp.id }
+    }
+  }
 
   def get(id: String): ModelPipeline = {
     val mp = models.get(id)
@@ -29,26 +41,36 @@ object ModelRegistry {
 
   def contains(id: String): Boolean = models.containsKey(id)
 
-  def rootOf(id: String): String = roots.getOrDefault(id, id)
+  def rootOf(id: String): String = synchronized(lineage.get(id).fold(id)(_._1))
 
-  /** Memoized derivation: specialize `baseId` for `predicates` (predicate-
-    * based pruning + model-projection pushdown). Returns the derived model
-    * id — stable for a given (root model, canonical predicate set), so a
-    * second optimizer pass is a no-op.
+  /** Specializes `baseId` for `predicates` (predicate-based pruning, then
+    * model-projection pushdown; no predicates is projection alone) and
+    * returns the derived model's id. A variant is derived from the root
+    * model under its own predicates plus the new ones, and memoized by that
+    * set, so specializing a variant again for the same predicates is a
+    * no-op. Pipelines with a scaler are returned unchanged.
     */
-  def deriveFor(baseId: String, predicates: Seq[ColPredicate]): String = {
-    val root = rootOf(baseId)
-    val key = predicates.map(_.toString).sorted.mkString("&")
-    derivations.computeIfAbsent((root, key), _ => {
-      val (optimized, _) = get(baseId).optimizeFor(predicates)
-      val id = s"$root#${Integer.toHexString(key.hashCode)}"
-      models.put(id, optimized.copy(id = id))
-      roots.put(id, root)
+  def deriveFor(baseId: String, predicates: Seq[ColPredicate]): String = synchronized {
+    val (root, basePreds) = lineage.getOrElse(baseId, (baseId, Set.empty[ColPredicate]))
+    val rootMp = get(root)
+    if (rootMp.scaler.nonEmpty) baseId
+    else {
+      val preds = basePreds ++ predicates
+      val id = derivations.getOrElseUpdate((root, preds), {
+        variants += 1
+        val id = s"$root#$variants"
+        models.put(id, rootMp.optimizeFor(preds.toSeq)._1.copy(id = id))
+        lineage(id) = (root, preds)
+        id
+      })
+      val missing = get(id).inputCols.filterNot(get(baseId).inputCols.contains)
+      if (missing.nonEmpty) throw new IllegalStateException(
+        s"variant '$id' of '$root' reads ${missing.mkString(", ")}, which '$baseId' does not")
       id
-    })
+    }
   }
 
-  def clear(): Unit = { models.clear(); derivations.clear(); roots.clear() }
+  def clear(): Unit = synchronized { models.clear(); derivations.clear(); lineage.clear() }
 
   // ---- persistence (model files stored "in the database") -----------------
 

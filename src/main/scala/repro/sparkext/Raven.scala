@@ -20,14 +20,11 @@ object Raven {
   /** Default inlining budget (tree nodes) for the Catalyst inlining rule. */
   val DefaultInlineMaxNodes = 512
 
-  @volatile private var installedSessions = Set.empty[SparkSession]
-
+  /** Adds the rules unless the session's own `extraOptimizations` already hold them. */
   def install(spark: SparkSession, inlineMaxNodes: Int = DefaultInlineMaxNodes): Unit = synchronized {
     registerFunction(spark)
-    if (!installedSessions.contains(spark)) {
+    if (!spark.experimental.extraOptimizations.contains(RavenRules.ModelSpecialization))
       spark.experimental.extraOptimizations ++= rules(inlineMaxNodes)
-      installedSessions += spark
-    }
   }
 
   /** Install only the runtime (`raven_predict` function), no optimizer
@@ -35,23 +32,26 @@ object Raven {
     */
   def installRuntimeOnly(spark: SparkSession): Unit = registerFunction(spark)
 
+  /** Raven's rules, plus the Catalyst rules that act on what they change: a
+    * specialized predict may reference one join side only, and read fewer
+    * columns.
+    */
   def rules(inlineMaxNodes: Int): Seq[org.apache.spark.sql.catalyst.rules.Rule[
       org.apache.spark.sql.catalyst.plans.logical.LogicalPlan]] = Seq(
-    RavenRules.PredicateModelPruning,
-    RavenRules.ModelProjectionPushdown,
+    RavenRules.ModelSpecialization,
     RavenRules.ModelInlining(inlineMaxNodes),
+    org.apache.spark.sql.catalyst.optimizer.PushDownPredicates,
     org.apache.spark.sql.catalyst.optimizer.ColumnPruning,
     org.apache.spark.sql.catalyst.optimizer.CollapseProject,
     RavenRules.JoinElimination,
   )
 
   private def registerFunction(spark: SparkSession): Unit = {
-    val info = new ExpressionInfo(classOf[PredictExpression].getName, "raven_predict")
-    spark.sessionState.functionRegistry.registerFunction(
-      FunctionIdentifier("raven_predict"),
-      info,
-      (args: Seq[Expression]) => PredictExpression.fromArgs(args),
-    )
+    val registry = spark.sessionState.functionRegistry
+    val name = FunctionIdentifier("raven_predict")
+    if (!registry.functionExists(name))
+      registry.registerFunction(name, new ExpressionInfo(classOf[PredictExpression].getName, "raven_predict"),
+        (args: Seq[Expression]) => PredictExpression.fromArgs(args))
   }
 
   def deploy(mp: ModelPipeline): Unit = ModelRegistry.deploy(mp)

@@ -8,10 +8,11 @@ import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
 import repro.ml._
 
-/** Raven's cross-optimizations expressed as Catalyst optimizer rules
-  * (injected via `spark.experimental.extraOptimizations`, so the same
-  * rewrites the IR-level Cross Optimizer performs also fire on arbitrary
-  * DataFrame/SQL plans containing [[PredictExpression]]).
+/** Raven's model rewrites as Catalyst optimizer rules, injected via
+  * `spark.experimental.extraOptimizations`. They are the only code that
+  * rewrites a model: they fire on any DataFrame/SQL plan containing
+  * [[PredictExpression]], including IR plans lowered by
+  * [[repro.core.codegen.RuntimeCodeGenerator]].
   */
 object RavenRules {
 
@@ -22,7 +23,12 @@ object RavenRules {
 
   type Constraints = Map[ExprId, AttrConstraint]
 
-  /** Predicate-based model pruning (§4.1) on Catalyst plans.
+  /** Predicate-based model pruning and model-projection pushdown (§4.1):
+    * every predict is replaced by the registry's variant specialized for the
+    * constraints on its inputs, with the arguments the variant no longer
+    * reads dropped (projection is specialization under no constraints).
+    * Catalyst column pruning then narrows the scans, and
+    * [[JoinElimination]] may drop joins.
     *
     * Constraints are collected bottom-up from Filter conditions and joined
     * flow-sensitively: a predict's input rows are constrained by filters
@@ -31,7 +37,7 @@ object RavenRules {
     * license pruning (the Fig. 1 `pregnant = 1 AND score > 7` case).
     * Outer joins drop the null-padded side's constraints.
     */
-  object PredicateModelPruning extends Rule[LogicalPlan] {
+  object ModelSpecialization extends Rule[LogicalPlan] {
 
     def apply(plan: LogicalPlan): LogicalPlan = rewrite(plan)._1
 
@@ -94,11 +100,9 @@ object RavenRules {
       }
 
     /** Rewrite every PredictExpression inside `e` against the constraints. */
-    private def rewriteExpr(e: Expression, cc: Constraints): Expression =
-      if (cc.isEmpty) e
-      else e.transformUp {
-        case p: PredictExpression => specialize(p, cc)
-      }
+    private def rewriteExpr(e: Expression, cc: Constraints): Expression = e.transformUp {
+      case p: PredictExpression => specialize(p, cc)
+    }
 
     private[sparkext] def specialize(p: PredictExpression, cc: Constraints): Expression = {
       val mp = ModelRegistry.get(p.modelId)
@@ -117,16 +121,9 @@ object RavenRules {
           case CatC(v)  => CatEquals(cols(i), v)
         }
       }
-      if (preds.isEmpty) p
-      else {
-        val derivedId = ModelRegistry.deriveFor(p.modelId, preds)
-        if (derivedId == p.modelId) p
-        else {
-          val derived = ModelRegistry.get(derivedId)
-          val keep = derived.inputCols.map(c => p.children(cols.indexOf(c)))
-          PredictExpression(derivedId, keep)
-        }
-      }
+      val derivedId = ModelRegistry.deriveFor(p.modelId, preds)
+      if (derivedId == p.modelId) p
+      else PredictExpression(derivedId, ModelRegistry.get(derivedId).inputCols.map(c => p.children(cols.indexOf(c))))
     }
 
     private def attrOf(e: Expression): Option[AttributeReference] = e match {
@@ -182,23 +179,6 @@ object RavenRules {
         }
         case _ => None
       }
-    }
-  }
-
-  /** Model-projection pushdown (§4.1): drop predict arguments whose
-    * features the model no longer uses; Catalyst column pruning then
-    * narrows the scans, and [[JoinElimination]] may drop joins.
-    */
-  object ModelProjectionPushdown extends Rule[LogicalPlan] {
-    def apply(plan: LogicalPlan): LogicalPlan = plan.transformAllExpressions {
-      case p: PredictExpression =>
-        val derivedId = ModelRegistry.deriveFor(p.modelId, Nil)
-        if (derivedId == p.modelId) p
-        else {
-          val cols = ModelRegistry.get(p.modelId).inputCols
-          val derived = ModelRegistry.get(derivedId)
-          PredictExpression(derivedId, derived.inputCols.map(c => p.children(cols.indexOf(c))))
-        }
     }
   }
 

@@ -1,0 +1,76 @@
+package repro
+
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.core.analysis.StaticAnalyzer
+import repro.core.codegen.RuntimeCodeGenerator
+import repro.core.opt.CrossOptimizer
+import repro.ml.ModelPipeline
+import repro.sparkext.Raven
+
+/** The IR path (static analysis, IR optimization, lowering) and the SQL
+  * `raven_predict` path, both under Raven's rules, against the same query
+  * on a session with only the runtime installed. Each model is queried
+  * under each cohort filter, filtered query first and unfiltered first,
+  * under an id of its own, so that the variants one query derives meet the
+  * other query.
+  */
+class DifferentialSpec extends AnyFunSuite with SparkSpec {
+  import DifferentialSpec._
+
+  private val hospitalFilters = Seq("pregnant = 1", "pregnant = 0", "age > 35", "gender = 'F'")
+  private lazy val families = Seq(
+    Family("hand_dt", TestModels.handTreePipeline, "patients_all", "patient_id", hospitalFilters),
+    Family("hospital_rf", TestModels.hospitalForestPipeline, "patients_all", "patient_id", hospitalFilters),
+    Family("hospital_mlp", TestModels.hospitalMlpPipeline, "patients_all", "patient_id", hospitalFilters),
+    Family("flight_lr", TestModels.flightLrPipeline, "flights", "flight_id",
+      Seq("month = 1", "month = 2", "dep_hour > 17", "dest = 'AP00'")),
+  )
+
+  private def where(filter: Option[String]): String = filter.fold("")(w => s" WHERE $w")
+
+  private def irRows(s: SparkSession, f: Family, mp: ModelPipeline, filter: Option[String]): Seq[(Long, Double)] = {
+    val sql = s"SELECT ${f.key}, PREDICT(model) AS score FROM ${f.table}${where(filter)}"
+    val ir = StaticAnalyzer.analyzeSql(sql, TestTables.hospitalCatalog, Map("model" -> mp)).ir
+    rows(RuntimeCodeGenerator.toDataFrame(CrossOptimizer.optimize(ir, TestTables.hospitalCatalog), s))
+  }
+
+  private def sqlRows(s: SparkSession, f: Family, mp: ModelPipeline, filter: Option[String]): Seq[(Long, Double)] =
+    rows(s.sql(s"SELECT ${f.key}, ${Raven.predictSql(mp.id)} AS score FROM ${f.table}${where(filter)}"))
+
+  private def rows(df: DataFrame): Seq[(Long, Double)] =
+    df.collect().map(r => r.getLong(0) -> r.getDouble(1)).sortBy(_._1).toSeq
+
+  test("IR-lowered and SQL predictions equal the unoptimized ones, in either query order") {
+    val failures = Seq.newBuilder[String]
+    for (f <- families) {
+      Raven.deploy(f.mp)
+      val cohorts = f.filters.map(Some(_)) :+ None
+      val reference = cohorts.map(w => w -> sqlRows(TestTables.reference, f, f.mp, w)).toMap
+      for ((filter, i) <- cohorts.zipWithIndex; filteredFirst <- Seq(true, false) if filter.nonEmpty || filteredFirst;
+           (path, run) <- Seq("ir" -> irRows _, "sql" -> sqlRows _)) {
+        // a fresh id: no variants derived by earlier queries
+        val mp = f.mp.copy(id = s"diff_${f.name}_${i}_${filteredFirst}_$path")
+        Raven.deploy(mp)
+        for (w <- if (filteredFirst) Seq(filter, None) else Seq(None, filter)) {
+          val label = s"${f.name} $path ${w.getOrElse("unfiltered")} (${if (filteredFirst) "filtered" else "unfiltered"} first)"
+          val want = reference(w)
+          try {
+            val got = run(TestTables.optimized, f, mp, w)
+            if (want.isEmpty) failures += s"$label: no rows"
+            else if (got != want) {
+              val diff = got.zipAll(want, null, null).filter { case (g, e) => g != e }
+              failures += s"$label: ${diff.size} rows differ, first (got, want) ${diff.head}"
+            }
+          } catch { case e: Exception => failures += s"$label: ${e.getClass.getSimpleName}: ${e.getMessage}" }
+        }
+      }
+    }
+    val all = failures.result()
+    assert(all.isEmpty, all.mkString(s"${all.size} failures:\n", "\n", ""))
+  }
+}
+
+object DifferentialSpec {
+  private final case class Family(name: String, mp: ModelPipeline, table: String, key: String, filters: Seq[String])
+}

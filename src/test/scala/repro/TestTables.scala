@@ -1,8 +1,11 @@
 package repro
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
+import org.apache.spark.sql.catalyst.rules.Rule
 import repro.core.ir.{ForeignKey, SchemaCatalog, TableDef}
 import repro.data.{FlightData, HospitalData}
+import repro.sparkext.Raven
 
 /** Shared Spark-side tables + IR catalog for optimizer/codegen tests. */
 object TestTables {
@@ -30,15 +33,43 @@ object TestTables {
 
   @volatile private var registered = false
 
+  /** DataFrames for every table, built on `spark.range` (not local relations,
+    * which Spark evaluates before Raven's rules run).
+    */
+  def frames(spark: SparkSession): Map[String, DataFrame] = Map(
+    "patient_info" -> HospitalData.patientInfo(spark, HospitalN),
+    "blood_tests" -> HospitalData.bloodTests(spark, HospitalN),
+    "prenatal_tests" -> HospitalData.prenatalTests(spark, HospitalN),
+    "patients_all" -> HospitalData.joinedDf(spark, HospitalN),
+    "flights" -> FlightData.flightsDf(spark, FlightN),
+  )
+
+  /** Sessions of their own over the shared Spark context, with every table
+    * as a temp view: `optimized` has Raven installed, `reference` only its
+    * runtime (the unoptimized baseline).
+    */
+  lazy val optimized: SparkSession = session(Raven.install(_))
+  lazy val reference: SparkSession = session(Raven.installRuntimeOnly)
+
+  private def session(install: SparkSession => Unit): SparkSession = {
+    val s = SparkSpec.shared.newSession()
+    install(s)
+    frames(s).foreach { case (name, df) => df.createOrReplaceTempView(name) }
+    s
+  }
+
+  /** Runs `f` with `rules` in place of the optimized session's Raven rules. */
+  def withRules[A](rules: Seq[Rule[LogicalPlan]])(f: => A): A = {
+    val exp = optimized.experimental
+    val saved = exp.extraOptimizations
+    exp.extraOptimizations = rules
+    try f
+    finally exp.extraOptimizations = saved
+  }
+
   /** DataFrames for every table; also registered as temp views on first use. */
   def tables(spark: SparkSession): Map[String, DataFrame] = {
-    val m = Map(
-      "patient_info" -> HospitalData.patientInfo(spark, HospitalN),
-      "blood_tests" -> HospitalData.bloodTests(spark, HospitalN),
-      "prenatal_tests" -> HospitalData.prenatalTests(spark, HospitalN),
-      "patients_all" -> HospitalData.joinedDf(spark, HospitalN),
-      "flights" -> FlightData.flightsDf(spark, FlightN),
-    )
+    val m = frames(spark)
     if (!registered) synchronized {
       if (!registered) {
         m.foreach { case (name, df) => df.createOrReplaceTempView(name) }

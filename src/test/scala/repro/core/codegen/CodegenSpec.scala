@@ -5,6 +5,7 @@ import repro.{Oracle, SparkSpec, TestModels, TestTables}
 import repro.core.ir._
 import repro.ml.NNPipelineModel
 import repro.ml.NNTranslator
+import repro.sparkext.PredictExpression
 
 class CodegenSpec extends AnyFunSuite with SparkSpec {
 
@@ -41,18 +42,23 @@ class CodegenSpec extends AnyFunSuite with SparkSpec {
     assert(df.columns.toSeq == ir.outputCols)
   }
 
+  private def predictsIn(df: org.apache.spark.sql.DataFrame): Seq[PredictExpression] =
+    df.queryExecution.optimizedPlan.flatMap(_.expressions.flatMap(_.collect { case p: PredictExpression => p }))
+
   test("inline-predict lowers to a scalar expression (oracle-checked)") {
-    val caseSql = "(CASE WHEN age < 40 THEN 1.0 ELSE 2.0 END)"
+    // Raven's rules inline the lowered predict of a small tree; toSql renders it as CASE
     val ir = IRProject(
       Seq(NamedExpr("patient_id", ColRef("patient_id")), NamedExpr("c", ColRef("c"))),
-      IRInlinePredict("c", caseSql, Seq("age"), scan("patient_info")))
-    val df = RuntimeCodeGenerator.toDataFrame(ir, tables)
-    Oracle.assertEquivalent(df, RuntimeCodeGenerator.toSql(ir).get, "patient_info" -> tables("patient_info"))
+      IRPredict("c", TestModels.handTreePipeline, scan("patients_all")))
+    val df = RuntimeCodeGenerator.toDataFrame(ir, TestTables.optimized)
+    assert(predictsIn(df).isEmpty)
+    Oracle.assertEquivalent(df, RuntimeCodeGenerator.toSql(ir).get, "patients_all" -> tables("patients_all"))
   }
 
-  test("predict lowers to the batched runtime and matches driver predictions") {
+  test("predict lowers to raven_predict and matches driver predictions") {
     val ir = IRPredict("score", TestModels.handTreePipeline, scan("patients_all"))
     val df = RuntimeCodeGenerator.toDataFrame(ir, Map("patients_all" -> tables("patients_all")))
+    assert(predictsIn(df).map(_.modelId) == Seq(TestModels.handTreePipeline.id))
     val got = df.select("patient_id", "score").collect()
       .map(r => r.getLong(0) -> r.getDouble(1)).toMap
     TestModels.hospitalRows.take(100).foreach { j =>
@@ -61,7 +67,8 @@ class CodegenSpec extends AnyFunSuite with SparkSpec {
         assert(math.abs(got(j.patient_id) - want) < 1e-12)
       }
     }
-    assert(RuntimeCodeGenerator.toSql(ir).isEmpty)
+    // only a scaler-free tree or forest has a CASE form
+    assert(RuntimeCodeGenerator.toSql(ir.copy(pipeline = TestModels.hospitalMlpPipeline)).isEmpty)
   }
 
   test("NN-predict lowers and matches the classical pipeline within float32") {

@@ -13,13 +13,13 @@ class IRSpec extends AnyFunSuite {
     assert(Cmp("=", ColRef("c"), StrLit("x'y")).toSql == "(c = 'x''y')")
     assert(And(Cmp(">", ColRef("a"), NumLit(1)), Not(Cmp("=", ColRef("b"), NumLit(2)))).toSql ==
       "((a > 1) AND (NOT (b = 2)))")
-    assert(Or(RawSql("1=1"), Cmp("<>", ColRef("a"), NumLit(0))).toSql == "(1=1 OR (a <> 0))")
+    assert(Or(Cmp("=", NumLit(1), NumLit(1)), Cmp("<>", ColRef("a"), NumLit(0))).toSql == "((1 = 1) OR (a <> 0))")
   }
 
   test("references collects column names") {
     val e = And(Cmp("<", ColRef("a"), NumLit(1)), Or(Cmp("=", ColRef("b"), ColRef("c")), Not(ColRef("a"))))
     assert(e.references == Set("a", "b", "c"))
-    assert(RawSql("a + b").references.isEmpty) // raw SQL inputs tracked by callers
+    assert(Cmp("=", NumLit(1), StrLit("a")).references.isEmpty) // literals reference nothing
   }
 
   test("conjuncts splits nested ANDs only") {

@@ -1,12 +1,20 @@
 package repro.core.opt
 
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.expressions.If
+import org.apache.spark.sql.catalyst.plans.logical.{Join, LogicalPlan}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.{SparkSpec, TestModels, TestTables}
+import repro.{Oracle, SparkSpec, TestModels, TestTables}
 import repro.core.analysis.StaticAnalyzer
 import repro.core.codegen.RuntimeCodeGenerator
 import repro.core.ir._
 import repro.ml._
+import repro.sparkext.{ModelRegistry, PredictExpression, Raven, RavenRules}
 
+/** The IR's relational rewrites, and the model rewrites Raven's Catalyst
+  * rules apply to the lowered IR: the model-level tests assert on Spark's
+  * optimized plan of the lowered query.
+  */
 class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
 
   private val catalog = TestTables.hospitalCatalog
@@ -24,7 +32,23 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
 
   private def fig1Ir: IRNode = StaticAnalyzer.analyzeSql(fig1Sql, catalog, store).ir
 
-  private def run(ir: IRNode) = RuntimeCodeGenerator.toDataFrame(ir, TestTables.tables(spark))
+  private def fig0Sql = fig1Sql.replace("pregnant = 1", "pregnant = 0")
+
+  /** The plan lowered to a session's temp views; by default the Raven-optimized session. */
+  private def run(ir: IRNode, session: SparkSession = TestTables.optimized): DataFrame =
+    RuntimeCodeGenerator.toDataFrame(ir, session)
+
+  /** Spark's optimized plan of the IR-optimized, lowered query. */
+  private def sparkPlan(ir: IRNode): LogicalPlan = run(CrossOptimizer.optimize(ir, catalog)).queryExecution.optimizedPlan
+
+  private def predictsIn(plan: LogicalPlan): Seq[PredictExpression] =
+    plan.flatMap(_.expressions.flatMap(_.collect { case p: PredictExpression => p }))
+
+  private def withIntegrity[A](f: => A): A = {
+    RavenRules.RavenIntegrity.declareRowPreserving("patient_id", "patient_id")
+    try f
+    finally RavenRules.RavenIntegrity.clear()
+  }
 
   test("filter pushdown moves pregnant=1 to the patient_info side of the joins") {
     val pushed = CrossOptimizer.FilterPushdown(fig1Ir)
@@ -57,74 +81,67 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("predicate-based model pruning shrinks the tree under pregnant=1") {
-    val optimized = CrossOptimizer.PredicateModelPruning(CrossOptimizer.FilterPushdown(fig1Ir))
-    val predict = optimized.collectNodes.collectFirst { case p: IRPredict => p }.get
-    val pruned = predict.pipeline.model.asInstanceOf[DecisionTreeModel]
-    assert(pruned.nodeCount < TestModels.handTree.nodeCount)
-    assert(predict.pipeline.id.endsWith("#pruned"))
+    TestTables.withRules(Raven.rules(inlineMaxNodes = 0)) {
+      val predicts = predictsIn(sparkPlan(fig1Ir))
+      val root = TestModels.handTreePipeline.id
+      assert(predicts.nonEmpty && predicts.forall(p => p.modelId != root && ModelRegistry.rootOf(p.modelId) == root))
+      val pruned = ModelRegistry.get(predicts.head.modelId).model.asInstanceOf[DecisionTreeModel]
+      assert(pruned.nodeCount < TestModels.handTree.nodeCount)
+    }
   }
 
   test("pruning + projection pushdown drop unused raw columns (pregnant=0 needs no bp)") {
-    val sql = fig1Sql.replace("pregnant = 1", "pregnant = 0")
-    var plan = StaticAnalyzer.analyzeSql(sql, catalog, store).ir
-    plan = CrossOptimizer.FilterPushdown(plan)
-    plan = CrossOptimizer.PredicateModelPruning(plan)
-    plan = CrossOptimizer.ModelProjectionPushdown(plan)
-    val predict = plan.collectNodes.collectFirst { case p: IRPredict => p }.get
-    // pregnant=0 branch of the hand tree uses only age
-    assert(predict.pipeline.inputCols == Seq("age"))
+    TestTables.withRules(Raven.rules(inlineMaxNodes = 0)) {
+      val predicts = predictsIn(sparkPlan(StaticAnalyzer.analyzeSql(fig0Sql, catalog, store).ir))
+      // pregnant=0 branch of the hand tree uses only age
+      assert(predicts.nonEmpty && predicts.forall(p => ModelRegistry.get(p.modelId).inputCols == Seq("age")))
+      assert(predicts.forall(_.children.size == 1))
+    }
   }
 
   test("projection pruning narrows scans to needed columns") {
-    val plan = CrossOptimizer.optimize(fig1Ir, catalog,
-      OptimizerConfig(inlineMaxNodes = 0, joinElimination = false))
-    val scanCols = plan.collectNodes.collectFirst { case IRScan("blood_tests", cols) => cols }.get
-    // pruned pregnant=1 tree uses age + bp; blood_tests contributes only its key
-    assert(scanCols == Seq("patient_id"))
+    val sql = """SELECT patient_id, bp FROM patient_info
+                |JOIN prenatal_tests ON patient_info.patient_id = prenatal_tests.patient_id
+                |WHERE age > 40""".stripMargin
+    val plan = CrossOptimizer.optimize(StaticAnalyzer.analyzeSql(sql, catalog, store).ir, catalog)
+    val scans = plan.collectNodes.collect { case IRScan(t, cols) => t -> cols }.toMap
+    assert(scans == Map("patient_info" -> Seq("patient_id", "age"), "prenatal_tests" -> Seq("patient_id", "bp")))
   }
 
   test("join elimination drops FK joins that contribute nothing (pregnant=0: no prenatal columns)") {
-    val sql = fig1Sql.replace("pregnant = 1", "pregnant = 0")
-    val plan = CrossOptimizer.optimize(StaticAnalyzer.analyzeSql(sql, catalog, store).ir, catalog,
-      OptimizerConfig(inlineMaxNodes = 0))
-    val scans = plan.collectNodes.collect { case IRScan(t, _) => t }
-    assert(!scans.contains("prenatal_tests"), s"plan:\n${plan.treeString}")
-    assert(!scans.contains("blood_tests"))
+    withIntegrity {
+      val plan = sparkPlan(StaticAnalyzer.analyzeSql(fig0Sql, catalog, store).ir)
+      // the pruned model reads only age, so blood_tests and prenatal_tests supply nothing
+      assert(plan.collect { case j: Join => j }.isEmpty, s"plan:\n$plan")
+      assert(!plan.flatMap(_.output).map(_.name).exists(Set("bp", "hematocrit")))
+    }
   }
 
   test("join elimination requires a declared FK") {
     val noFk = new SchemaCatalog() // same tables, no FK declarations
     Seq("patient_info", "blood_tests", "prenatal_tests").foreach(t => noFk.register(catalog.table(t)))
-    val sql = fig1Sql.replace("pregnant = 1", "pregnant = 0")
-    val plan = CrossOptimizer.optimize(StaticAnalyzer.analyzeSql(sql, noFk, store).ir, noFk,
-      OptimizerConfig(inlineMaxNodes = 0))
-    val scans = plan.collectNodes.collect { case IRScan(t, _) => t }
-    assert(scans.contains("prenatal_tests"))
+    val sql = """SELECT patient_id, age FROM patient_info
+                |JOIN prenatal_tests ON patient_info.patient_id = prenatal_tests.patient_id""".stripMargin
+    def scans(c: SchemaCatalog) =
+      CrossOptimizer.optimize(StaticAnalyzer.analyzeSql(sql, c, store).ir, c).collectNodes.collect { case IRScan(t, _) => t }
+    assert(scans(noFk).contains("prenatal_tests"))
+    assert(scans(catalog) == Seq("patient_info"))
   }
 
   test("model inlining turns small trees into relational CASE logic") {
-    val plan = CrossOptimizer.optimize(fig1Ir, catalog, OptimizerConfig(inlineMaxNodes = 512))
-    assert(plan.collectNodes.forall(!_.isInstanceOf[IRPredict]))
-    val inline = plan.collectNodes.collectFirst { case p: IRInlinePredict => p }.get
-    assert(inline.caseSql.contains("CASE WHEN"))
-    assert(plan.collectNodes.forall(_.category != OpCategory.MLD))
+    val plan = sparkPlan(fig1Ir)
+    assert(predictsIn(plan).isEmpty, s"plan:\n$plan")
+    assert(plan.exists(_.expressions.exists(_.find(_.isInstanceOf[If]).isDefined)))
   }
 
   test("model inlining respects the node budget") {
-    val plan = CrossOptimizer.optimize(fig1Ir, catalog, OptimizerConfig(inlineMaxNodes = 2))
-    assert(plan.collectNodes.exists(_.isInstanceOf[IRPredict]))
-  }
-
-  test("linear model inlining emits sigmoid arithmetic") {
-    val ir = IRPredict("p", TestModels.flightLrPipeline, IRScan("flights", catalog.table("flights").columns))
-    val plan = CrossOptimizer.ModelInlining(ir, OptimizerConfig(inlineLinear = true))
-    val inline = plan.asInstanceOf[IRInlinePredict]
-    assert(inline.caseSql.contains("EXP"))
+    TestTables.withRules(Raven.rules(inlineMaxNodes = 2)) {
+      assert(predictsIn(sparkPlan(fig1Ir)).nonEmpty)
+    }
   }
 
   test("NN translation replaces Predict with an LA operator") {
-    val plan = CrossOptimizer.optimize(fig1Ir, catalog,
-      OptimizerConfig(inlineMaxNodes = 0, nnTranslate = true))
+    val plan = CrossOptimizer.NNTranslation(CrossOptimizer.optimize(fig1Ir, catalog))
     val nn = plan.collectNodes.collectFirst { case p: IRNNPredict => p }
     assert(nn.isDefined)
     assert(nn.get.category == OpCategory.LA)
@@ -132,41 +149,40 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
 
   // ---- end-to-end semantics ------------------------------------------------
 
-  private def resultsOf(config: OptimizerConfig, sql: String = fig1Sql) = {
-    val ir = StaticAnalyzer.analyzeSql(sql, catalog, store).ir
-    run(CrossOptimizer.optimize(ir, catalog, config))
-  }
+  /** The unoptimized IR lowered to the session without Raven's rules. */
+  private def baselineOf(sql: String): DataFrame =
+    run(StaticAnalyzer.analyzeSql(sql, catalog, store).ir, TestTables.reference)
 
   test("optimized plans return identical results to the unoptimized plan") {
-    val baseline = resultsOf(OptimizerConfig.off)
+    val baseline = baselineOf(fig1Sql)
     assert(baseline.count() > 0, "query must select some rows to be meaningful")
-    for (config <- Seq(
-        OptimizerConfig(inlineMaxNodes = 0, predicatePruning = false),
-        OptimizerConfig(inlineMaxNodes = 0),
-        OptimizerConfig(inlineMaxNodes = 512),
-        OptimizerConfig(inlineMaxNodes = 0, nnTranslate = true),
-        OptimizerConfig(filterPushdown = false, inlineMaxNodes = 512),
-      )) {
-      TestTables.assertSameRows(baseline, resultsOf(config), eps = 1e-4)
+    val optimized = CrossOptimizer.optimize(fig1Ir, catalog)
+    TestTables.assertSameRows(baseline, run(optimized))
+    TestTables.assertSameRows(baseline, run(fig1Ir)) // Catalyst rewrites alone
+    TestTables.withRules(Raven.rules(inlineMaxNodes = 0)) {
+      TestTables.assertSameRows(baseline, run(optimized))
     }
+    TestTables.assertSameRows(baseline, run(CrossOptimizer.NNTranslation(optimized)), eps = 1e-4)
   }
 
   test("pregnant=0 variant (join eliminated) returns identical results") {
-    val sql = fig1Sql.replace("pregnant = 1", "pregnant = 0").replace("> 7", "> 3")
-    val baseline = resultsOf(OptimizerConfig.off, sql)
+    val sql = fig0Sql.replace("> 7", "> 3")
+    val baseline = baselineOf(sql)
     assert(baseline.count() > 0)
-    TestTables.assertSameRows(baseline, resultsOf(OptimizerConfig(), sql), eps = 1e-4)
+    withIntegrity {
+      TestTables.assertSameRows(baseline, run(CrossOptimizer.optimize(StaticAnalyzer.analyzeSql(sql, catalog, store).ir, catalog)))
+    }
   }
 
   test("fully-inlined plan validates against the DuckDB oracle") {
-    val ir = StaticAnalyzer.analyzeSql(fig1Sql, catalog, store).ir
-    val optimized = CrossOptimizer.optimize(ir, catalog, OptimizerConfig(inlineMaxNodes = 512))
-    val sqlOpt = RuntimeCodeGenerator.toSql(optimized)
-    assert(sqlOpt.isDefined, "inlined plan must render as portable SQL")
+    val df = run(CrossOptimizer.optimize(fig1Ir, catalog))
+    assert(predictsIn(df.queryExecution.optimizedPlan).isEmpty, "the model must be inlined")
+    // the reference: the unoptimized query, with the original model as CASE
+    val sqlRef = RuntimeCodeGenerator.toSql(fig1Ir)
+    assert(sqlRef.isDefined, "a tree predict must render as portable SQL")
     val tables = TestTables.tables(spark)
-    val df = run(optimized)
-    repro.Oracle.assertEquivalent(
-      df, sqlOpt.get,
+    Oracle.assertEquivalent(
+      df, sqlRef.get,
       "patient_info" -> tables("patient_info"),
       "blood_tests" -> tables("blood_tests"),
       "prenatal_tests" -> tables("prenatal_tests"),
@@ -176,14 +192,12 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
   test("flight query: categorical predicate prunes the one-hot block and enables projection") {
     val sql = "SELECT flight_id, PREDICT(flight_lr) AS p FROM flights WHERE dest = 'AP00'"
     val ir = StaticAnalyzer.analyzeSql(sql, catalog, store).ir
-    var plan = CrossOptimizer.FilterPushdown(ir)
-    plan = CrossOptimizer.PredicateModelPruning(plan)
-    plan = CrossOptimizer.ModelProjectionPushdown(plan)
-    val predict = plan.collectNodes.collectFirst { case p: IRPredict => p }.get
-    assert(!predict.pipeline.inputCols.contains("dest"))
-    assert(predict.pipeline.pipeline.numFeatures < TestModels.flightLrPipeline.pipeline.numFeatures)
+    val predicts = predictsIn(sparkPlan(ir))
+    assert(predicts.nonEmpty)
+    val derived = ModelRegistry.get(predicts.head.modelId)
+    assert(!derived.inputCols.contains("dest"))
+    assert(derived.pipeline.numFeatures < TestModels.flightLrPipeline.pipeline.numFeatures)
     // semantics preserved
-    val baseline = run(StaticAnalyzer.analyzeSql(sql, catalog, store).ir)
-    TestTables.assertSameRows(baseline, run(CrossOptimizer.optimize(ir, catalog, OptimizerConfig())), eps = 1e-6)
+    TestTables.assertSameRows(baselineOf(sql), run(CrossOptimizer.optimize(ir, catalog)), eps = 1e-6)
   }
 }

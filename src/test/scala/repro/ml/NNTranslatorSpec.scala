@@ -125,14 +125,6 @@ class NNTranslatorSpec extends AnyFunSuite {
     assertAgree(pruned, n = 50)
   }
 
-  test("NNModel wraps a graph as a Model") {
-    val m = LinearModel(Array(2.0), 1.0, logistic = false)
-    val nn = NNModel(NNTranslator.translateModel(m, "w"), 1)
-    assert(math.abs(nn.predict(Array(3.0)) - 7.0) < 1e-4)
-    assert(nn.usedFeatures == Set(0))
-    assert(nn.predictBatch(Array.empty).isEmpty)
-  }
-
   test("unsupported model type is rejected") {
     val fake = new Model {
       def numFeatures = 1

@@ -26,7 +26,6 @@ class OpsSpec extends AnyFunSuite {
     val a = Tensor.row(1f, 2f, 3f)
     val b = Tensor.row(2f, 2f, 2f)
     assert(run("Less", a, b).data.toSeq == Seq(1f, 0f, 0f))
-    assert(run("LessOrEqual", a, b).data.toSeq == Seq(1f, 1f, 0f))
     assert(run("Equal", a, b).data.toSeq == Seq(0f, 1f, 0f))
   }
 
@@ -38,11 +37,6 @@ class OpsSpec extends AnyFunSuite {
     assert(run("Relu", a).data.toSeq == Seq(0f, 0f, 1f))
     val tanh = run("Tanh", a).data
     assert(math.abs(tanh(0)) < 1e-6 && tanh(1) < 0 && tanh(2) > 0)
-  }
-
-  test("Identity") {
-    val a = Tensor.row(1f, 2f)
-    assert(run("Identity", a).data.toSeq == Seq(1f, 2f))
   }
 
   test("Scale uses the scale attribute") {
@@ -80,11 +74,6 @@ class OpsSpec extends AnyFunSuite {
   test("OneHot rejects multi-column input") {
     val n = NodeDef("OneHot", Seq("x"), "out", Map("depth" -> 3f))
     assertThrows[IllegalArgumentException](Ops.execute(n, Seq(Tensor.zeros(2, 2))))
-  }
-
-  test("ArgMax") {
-    val a = Tensor.ofRows(Array(Array(1f, 9f, 2f)))
-    assert(run("ArgMax", a).data.toSeq == Seq(1f))
   }
 
   test("wrong arity throws") {

@@ -143,16 +143,6 @@ class SessionSpec extends AnyFunSuite {
     assert(g.liveInputs == Set("a"))
   }
 
-  test("SessionCache caches and invalidates") {
-    SessionCache.clear()
-    val s1 = SessionCache.get("m1", linGraph)
-    val s2 = SessionCache.get("m1", throw new RuntimeException("must not rebuild"))
-    assert(s1 eq s2)
-    assert(SessionCache.size == 1)
-    SessionCache.invalidate("m1")
-    assert(SessionCache.size == 0)
-  }
-
   test("weightElems and nodeCount") {
     assert(linGraph.nodeCount == 3)
     assert(linGraph.weightElems == 3)

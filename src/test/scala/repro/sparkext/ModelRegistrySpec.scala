@@ -50,6 +50,47 @@ class ModelRegistrySpec extends AnyFunSuite {
     assert(ModelRegistry.deriveFor("reg_test_4", Nil) == id)
   }
 
+  test("predicate sets whose strings share a hash code derive distinct variants") {
+    // "Aa" and "BB" have the same String.hashCode
+    val pipe = FeaturePipeline(Nil, Seq(OneHotEncoder("c", IndexedSeq("Aa", "BB"))))
+    ModelRegistry.deploy(ModelPipeline("reg_test_6", pipe, None, LinearModel(Array(1.0, 2.0), 0.0, logistic = false)))
+    val aa = ModelRegistry.deriveFor("reg_test_6", Seq(CatEquals("c", "Aa")))
+    val bb = ModelRegistry.deriveFor("reg_test_6", Seq(CatEquals("c", "BB")))
+    assert(aa != bb)
+    assert(ModelRegistry.get(aa).model.asInstanceOf[LinearModel].intercept == 1.0)
+    assert(ModelRegistry.get(bb).model.asInstanceOf[LinearModel].intercept == 2.0)
+  }
+
+  test("redeploying the same instance keeps its variants; another pipeline drops them") {
+    val mp = TestModels.handTreePipeline.copy(id = "reg_test_7")
+    val preds = Seq(NumRange("pregnant", FeatureConstraint.equalTo(0.0)))
+    ModelRegistry.deploy(mp)
+    val v = ModelRegistry.deriveFor("reg_test_7", preds)
+    ModelRegistry.deploy(mp)
+    assert(ModelRegistry.deriveFor("reg_test_7", preds) == v)
+    ModelRegistry.deploy(mp.copy())
+    assert(!ModelRegistry.contains(v))
+    assert(ModelRegistry.deriveFor("reg_test_7", preds) != v)
+  }
+
+  test("a variant specialized again derives from the root under both predicate sets") {
+    val mp = TestModels.handTreePipeline.copy(id = "reg_test_8")
+    ModelRegistry.deploy(mp)
+    val pregnant = Seq(NumRange("pregnant", FeatureConstraint.equalTo(1.0)))
+    val projected = ModelRegistry.deriveFor("reg_test_8", Nil)
+    val pruned = ModelRegistry.deriveFor(projected, pregnant)
+    assert(pruned == ModelRegistry.deriveFor("reg_test_8", pregnant))
+    // projecting the pruned variant is a no-op, not the root's projection
+    assert(ModelRegistry.deriveFor(pruned, Nil) == pruned)
+    assert(ModelRegistry.get(pruned).model.asInstanceOf[DecisionTreeModel].nodeCount == 5)
+  }
+
+  test("pipelines with a scaler are not specialized") {
+    val mp = TestModels.hospitalMlpPipeline.copy(id = "reg_test_9")
+    ModelRegistry.deploy(mp)
+    assert(ModelRegistry.deriveFor("reg_test_9", Seq(NumRange("age", FeatureConstraint.atLeast(35)))) == "reg_test_9")
+  }
+
   test("save/load roundtrip preserves the pipeline") {
     val mp = TestModels.flightLrPipeline.copy(id = "reg_test_5")
     val f = Files.createTempFile("pipeline", ".bin")

@@ -58,7 +58,7 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
   }
 
   test("predicate pruning rule specializes the model below a filter") {
-    withRules(Seq(RavenRules.PredicateModelPruning)) {
+    withRules(Seq(RavenRules.ModelSpecialization)) {
       val df = spark.sql(
         s"SELECT patient_id, $handSql AS score FROM patients_all WHERE pregnant = 1")
       val predicts = predictsIn(df.queryExecution.optimizedPlan)
@@ -77,7 +77,7 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
   }
 
   test("sibling conjuncts in the same filter license pruning (score > 7 AND pregnant = 1)") {
-    withRules(Seq(RavenRules.PredicateModelPruning)) {
+    withRules(Seq(RavenRules.ModelSpecialization)) {
       val df = spark.sql(
         s"SELECT patient_id FROM patients_all WHERE pregnant = 1 AND $handSql > 7")
       val predicts = predictsIn(df.queryExecution.optimizedPlan)
@@ -93,7 +93,7 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
   }
 
   test("range predicates prune too (bp >= 140 collapses the bp split)") {
-    withRules(Seq(RavenRules.PredicateModelPruning)) {
+    withRules(Seq(RavenRules.ModelSpecialization)) {
       val df = spark.sql(
         s"SELECT patient_id, $handSql AS score FROM patients_all WHERE pregnant = 1 AND bp >= 140")
       val predicts = predictsIn(df.queryExecution.optimizedPlan)
@@ -104,7 +104,7 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
   }
 
   test("no pruning across the nullable side of a left outer join") {
-    withRules(Seq(RavenRules.PredicateModelPruning)) {
+    withRules(Seq(RavenRules.ModelSpecialization)) {
       tables("patient_info").createOrReplaceTempView("pi_keys")
       val df = spark.sql(
         s"""SELECT a.patient_id, $handSql AS score
@@ -113,13 +113,13 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
            |ON a.patient_id = b.patient_id""".stripMargin)
       val predicts = predictsIn(df.queryExecution.optimizedPlan)
       assert(predicts.nonEmpty)
-      assert(predicts.forall(_.modelId == TestModels.handTreePipeline.id),
-        "outer-join nullable-side constraint must not prune")
+      assert(predicts.forall(p => ModelRegistry.get(p.modelId).model.asInstanceOf[DecisionTreeModel].nodeCount ==
+        TestModels.handTree.nodeCount), "outer-join nullable-side constraint must not prune")
     }
   }
 
   test("inner join constraints do prune across sides") {
-    withRules(Seq(RavenRules.PredicateModelPruning)) {
+    withRules(Seq(RavenRules.ModelSpecialization)) {
       val df = spark.sql(
         s"""SELECT a.patient_id, $handSql AS score
            |FROM (SELECT * FROM patients_all WHERE pregnant = 1) a
@@ -141,7 +141,7 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
     val mp = ModelPipeline("flight_lr_blocksparse", pipe, None,
       TestModels.flightLr.copy(weights = w))
     Raven.deploy(mp)
-    withRules(Seq(RavenRules.ModelProjectionPushdown)) {
+    withRules(Seq(RavenRules.ModelSpecialization)) {
       val df = spark.sql(s"SELECT flight_id, ${Raven.predictSql("flight_lr_blocksparse")} AS p FROM flights")
       val predicts = predictsIn(df.queryExecution.optimizedPlan)
       assert(predicts.nonEmpty)
@@ -247,7 +247,7 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
       val df = spark.sql(query)
       assert(predictsIn(df.queryExecution.optimizedPlan).isEmpty, "should be fully inlined")
       // oracle: same tree as portable CASE SQL over the same tables
-      val featureExprs = repro.core.opt.CrossOptimizer.ModelInlining.featureSqlExprs(HospitalData.pipeline)
+      val featureExprs = DecisionTree.featureSqlExprs(HospitalData.pipeline)
       val caseSql = TestModels.handTree.toCaseSql(featureExprs)
       Oracle.assertEquivalent(
         df,
@@ -279,6 +279,30 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
     val perRow = spark.sql(s"SELECT *, $handSql AS score FROM patients_all")
     TestTables.assertSameRows(
       batched.select("patient_id", "score"), perRow.select("patient_id", "score"), eps = 0.0)
+  }
+
+  test("redeploying a different model under an id drops its derived variants") {
+    val id = "redeployed_dt"
+    Raven.deploy(TestModels.handTreePipeline.copy(id = id))
+    val query = s"SELECT patient_id, ${Raven.predictSql(id)} AS score FROM patients_all WHERE pregnant = 1"
+    withRules(Raven.rules(512)) {
+      val before = spark.sql(query).collect().map(_.getDouble(1)).toSet
+      assert(before.nonEmpty && before.subsetOf(Set(5.0, 8.0, 10.0)))
+      val constant = DecisionTreeModel(Leaf(42.0), HospitalData.pipeline.numFeatures, isClassifier = false)
+      Raven.deploy(ModelPipeline(id, HospitalData.pipeline, None, constant))
+      assert(spark.sql(query).collect().map(_.getDouble(1)).toSet == Set(42.0))
+    }
+  }
+
+  test("install adds the rules once per session, also after they were reset") {
+    val s = spark.newSession()
+    val rules = Raven.rules(Raven.DefaultInlineMaxNodes)
+    Raven.install(s)
+    Raven.install(s)
+    assert(s.experimental.extraOptimizations == rules)
+    s.experimental.extraOptimizations = Nil
+    Raven.install(s)
+    assert(s.experimental.extraOptimizations == rules)
   }
 
   test("derived model memoization is stable") {
