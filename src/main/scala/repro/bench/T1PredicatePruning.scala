@@ -3,7 +3,6 @@ package repro.bench
 import repro.bench.BenchUtil._
 import repro.data.{FlightData, HospitalData}
 import repro.ml._
-import repro.runtime.ClassicRuntime
 
 /** Table 1 — Predicate-based model pruning (§4.1).
   *
@@ -96,9 +95,9 @@ object T1PredicatePruning {
       // GC/background pauses that would skew back-to-back medians
       var tFull = Double.MaxValue
       var tPruned = Double.MaxValue
-      ClassicRuntime.scoreRaw(cohort, mp); scoreCompact(optimized, posInBase, cohort) // warmup
+      mp.predictRawBatch(cohort); scoreCompact(optimized, posInBase, cohort) // warmup
       for (_ <- 1 to 5) {
-        tFull = math.min(tFull, timeMillis(warmup = 0, reps = 1)(ClassicRuntime.scoreRaw(cohort, mp)))
+        tFull = math.min(tFull, timeMillis(warmup = 0, reps = 1)(mp.predictRawBatch(cohort)))
         tPruned = math.min(tPruned, timeMillis(warmup = 0, reps = 1)(scoreCompact(optimized, posInBase, cohort)))
       }
       def compact(raw: IndexedSeq[Any]): Double = scoreOne(optimized, posInBase, raw)

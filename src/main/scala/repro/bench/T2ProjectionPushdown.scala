@@ -3,7 +3,6 @@ package repro.bench
 import repro.bench.BenchUtil._
 import repro.core.opt.ModelClustering.CompactFeaturizer
 import repro.data.FlightData
-import repro.runtime.ClassicRuntime
 
 /** Table 2 — Model-projection pushdown (Fig. 2(a)).
   *
@@ -29,7 +28,7 @@ object T2ProjectionPushdown {
       val (projected, kept) = model.projectNonZero
       val featurizer = CompactFeaturizer(pipe, kept.toIndexedSeq)
 
-      val tFull = timeMillis()(ClassicRuntime.scoreRaw(cohort, mp))
+      val tFull = timeMillis()(mp.predictRawBatch(cohort))
       val tProj = timeMillis() {
         var i = 0
         while (i < cohort.length) { projected.predict(featurizer.transform(cohort(i))); i += 1 }

@@ -6,7 +6,7 @@ import org.apache.spark.sql.functions.{expr, sum}
 import repro.bench.BenchUtil._
 import repro.data.HospitalData
 import repro.ml.{DecisionTree, FeatureConstraint, ModelPruner, NumRange}
-import repro.runtime.{ClassicRuntime, CsvData, OutOfProcess}
+import repro.runtime.{CsvData, OutOfProcess}
 import repro.sparkext.{ModelRegistry, Raven, RavenRuntime}
 
 /** Table 4 — Model inlining (Fig. 2(c)).
@@ -29,7 +29,6 @@ object T4ModelInlining {
   def run(spark: SparkSession, rows: Int = 300000): BenchTable = {
     val mp = BenchModels.hospitalTreePipeline
     Raven.deploy(mp)
-    Raven.installRuntimeOnly(spark)
 
     val work = Files.createTempDirectory("t4")
     val modelDir = work.resolve("model")
@@ -54,7 +53,8 @@ object T4ModelInlining {
       require(res.exitCode == 0 && res.rows == rows.length, s"external run failed: $res")
       res.checksum
     }
-    def sklearnDriver(d: DataFrame): Double = ClassicRuntime.scoreCollected(d, mp).sum
+    def sklearnDriver(d: DataFrame): Double =
+      mp.predictRawBatch(d.collect().map(r => rawIdx.map(r.get).toIndexedSeq: IndexedSeq[Any])).sum
     def predictOp(d: DataFrame): Double = collectSum(RavenRuntime.predictBatch(d, mp.id, "score"))
     def inlined(d: DataFrame, sql: String = caseSql): Double = collectSum(d.withColumn("score", expr(sql)))
 
@@ -84,7 +84,7 @@ object T4ModelInlining {
       Seq(
         Seq("sklearn out-of-DB (export + external process)", rows.toString, fmt(tExternal), "1.00x"),
         Seq("sklearn in-driver (collect + per-row)", rows.toString, fmt(tDriver), fmtX(tExternal / tDriver)),
-        Seq("in-engine PREDICT operator (batched)", rows.toString, fmt(tPredict), fmtX(tExternal / tPredict)),
+        Seq("in-engine PREDICT operator", rows.toString, fmt(tPredict), fmtX(tExternal / tPredict)),
         Seq("inlined CASE (whole-stage codegen)", rows.toString, fmt(tInline), fmtX(tExternal / tInline)),
         Seq("sklearn out-of-DB on pregnant=1 cohort", "cohort", fmt(tExternalCohort), "1.00x"),
         Seq("inlined + predicate-pruned on cohort", "cohort", fmt(tInlinePruned), fmtX(tExternalCohort / tInlinePruned)),

@@ -5,7 +5,7 @@ import repro.data.HospitalData
 import repro.linalg.Tensor
 import repro.ml.NNTranslator
 import repro.onnx.Session
-import repro.runtime.{ClassicRuntime, SimGpu}
+import repro.runtime.SimGpu
 
 /** Table 5 — NN translation (Fig. 2(d)).
   *
@@ -52,7 +52,7 @@ object T5NNTranslation {
       // every path pays featurization: the paper translates the END-TO-END
       // pipeline, so featurize+infer is the measured unit on all sides
       def featurize(): Array[Array[Double]] = raw.map(mp.pipeline.transform)
-      val tRf = timeMillis(warmup = 1, reps = reps)(ClassicRuntime.scoreRaw(raw, mp))
+      val tRf = timeMillis(warmup = 1, reps = reps)(mp.predictRawBatch(raw))
       val tCpu = timeMillis(warmup = 1, reps = reps)(cpu.run(Tensor.ofDoubleRows(featurize())))
       val tGpu = timeMillis(warmup = 1, reps = reps)(
         gpu.run(Map(NNTranslator.InputName -> Tensor.ofDoubleRows(featurize()))))

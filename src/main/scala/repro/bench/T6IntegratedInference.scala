@@ -63,7 +63,11 @@ object T6IntegratedInference {
           collectSum(predictNN(df, cachedNn))
         }
         def ort(): Unit = OrtStandalone.run(s.modelDir, csv)
-        def ext(): Unit = OutOfProcess.run(s.modelDir, csv)
+        def ext(): Unit = {
+          val res = OutOfProcess.run(s.modelDir, csv)
+          require(res.exitCode == 0 && res.rows == n,
+            s"${s.label}/$n: external run failed (exit ${res.exitCode}, ${res.rows} rows): ${res.stderrTail}")
+        }
 
         // correctness: paths agree on the checksum at this size
         if (n <= 10000) {

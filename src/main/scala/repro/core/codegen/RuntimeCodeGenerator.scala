@@ -33,10 +33,8 @@ object RuntimeCodeGenerator {
       if (lk == rk) lf.join(rf, Seq(lk))
       else lf.join(rf, lf(lk) === rf(rk)).drop(rf(rk))
     case IRPredict(out, mp, c) =>
-      val df = toDataFrame(c, tables)
-      Raven.installRuntimeOnly(df.sparkSession)
       Raven.deploy(mp)
-      df.selectExpr("*", s"${Raven.predictSql(mp.id)} AS $out")
+      RavenRuntime.predictBatch(toDataFrame(c, tables), mp.id, out)
     case IRNNPredict(out, nn, c) =>
       RavenRuntime.predictNNBatch(toDataFrame(c, tables), nn, out)
     case IRUdf(_, out, inputCols, fn, c) =>

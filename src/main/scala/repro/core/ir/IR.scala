@@ -1,6 +1,6 @@
 package repro.core.ir
 
-import repro.ml.{ColPredicate, FeatureConstraint, CatEquals, NumRange, ModelPipeline, NNPipelineModel}
+import repro.ml.{ModelPipeline, NNPipelineModel}
 
 /** Operator categories of the unified IR (§3.1): relational algebra,
   * linear algebra, other ML operators / data featurizers, and opaque UDFs.
@@ -53,30 +53,6 @@ object ScalarExpr {
   }
 
   def conjunction(es: Seq[ScalarExpr]): Option[ScalarExpr] = es.reduceOption(And(_, _))
-
-  /** Extract per-column predicates usable for model pruning from the
-    * `col <op> literal` conjuncts of a filter condition.
-    */
-  def toColPredicates(e: ScalarExpr): Seq[ColPredicate] = conjuncts(e).flatMap {
-    case Cmp(op, ColRef(c), NumLit(v)) => numPred(c, op, v)
-    case Cmp(op, NumLit(v), ColRef(c)) => numPred(c, flip(op), v)
-    case Cmp("=", ColRef(c), StrLit(s)) => Some(CatEquals(c, s))
-    case Cmp("=", StrLit(s), ColRef(c)) => Some(CatEquals(c, s))
-    case _ => None
-  }
-
-  private def flip(op: String): String = op match {
-    case "<" => ">"; case "<=" => ">="; case ">" => "<"; case ">=" => "<="; case other => other
-  }
-
-  private def numPred(c: String, op: String, v: Double): Option[ColPredicate] = op match {
-    case "="  => Some(NumRange(c, FeatureConstraint.equalTo(v)))
-    case "<"  => Some(NumRange(c, FeatureConstraint.lessThan(v)))
-    case "<=" => Some(NumRange(c, FeatureConstraint.atMost(v)))
-    case ">"  => Some(NumRange(c, FeatureConstraint.greaterThan(v)))
-    case ">=" => Some(NumRange(c, FeatureConstraint.atLeast(v)))
-    case _    => None
-  }
 }
 
 /** A named output column of a projection. */

@@ -21,8 +21,15 @@ final case class ModelPipeline(
     model.predict(scaler.map(_.transform(feats)).getOrElse(feats))
   }
 
-  def predictRawBatch(rows: Iterable[IndexedSeq[Any]]): Array[Double] =
-    rows.iterator.map(predictRaw).toArray
+  /** Score raw rows one by one on the calling thread: the classical
+    * framework's path, outside the engine.
+    */
+  def predictRawBatch(rows: scala.collection.IndexedSeq[IndexedSeq[Any]]): Array[Double] = {
+    val out = new Array[Double](rows.length)
+    var i = 0
+    while (i < out.length) { out(i) = predictRaw(rows(i)); i += 1 }
+    out
+  }
 
   /** Apply predicate-based pruning followed by model-projection pushdown.
     * Returns the optimized pipeline and the raw columns it no longer needs.

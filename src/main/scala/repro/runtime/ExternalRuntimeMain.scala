@@ -22,13 +22,10 @@ object ExternalRuntimeMain {
     val in = CsvData.readerOf(System.in)
     mode match {
       case "nn" =>
-        val graph = repro.onnx.ModelFormat.load(modelDir.resolve("model.onnxlite"))
-        val pipeline = OrtStandalone.loadPipeline(modelDir)
-        val session = new repro.onnx.Session(graph)
+        val nn = OrtStandalone.loadModel(modelDir)
         CsvData.linesBatches(in, batchSize).foreach { batch =>
-          val preds = OrtStandalone.runBatch(session, pipeline, batch)
-          var i = 0
-          while (i < preds.length) { out.write(preds(i).toString); out.newLine(); i += 1 }
+          // the graph computes in float32: print that value
+          nn.predictRawBatch(batch).foreach { p => out.write(p.toFloat.toString); out.newLine() }
         }
       case "classic" =>
         // the scikit-learn analogue: interpreted per-row pipeline scoring

@@ -1,9 +1,8 @@
 package repro.runtime
 
 import java.nio.file.Path
-import repro.linalg.Tensor
-import repro.ml.FeaturePipeline
-import repro.onnx.{ModelFormat, Session}
+import repro.ml.{FeaturePipeline, NNPipelineModel}
+import repro.onnx.ModelFormat
 
 /** The standalone "ORT" baseline of §5 / Fig. 3: a dedicated inference
   * process outside the database.
@@ -31,36 +30,24 @@ object OrtStandalone {
     finally out.close()
   }
 
-  def loadPipeline(dir: Path): FeaturePipeline = {
+  /** A saved model as a fresh `NNPipelineModel`, whose session is built on first use. */
+  def loadModel(dir: Path): NNPipelineModel = {
     val in = new java.io.ObjectInputStream(java.nio.file.Files.newInputStream(dir.resolve("pipeline.bin")))
-    try in.readObject().asInstanceOf[FeaturePipeline]
-    finally in.close()
+    val pipeline = try in.readObject().asInstanceOf[FeaturePipeline] finally in.close()
+    NNPipelineModel(ModelFormat.load(dir.resolve("model.onnxlite")), pipeline)
   }
 
   /** One full query: model load + session build + data read + inference. */
   def run(modelDir: Path, csvPath: Path, batchSize: Int = 4096): Result = {
-    val graph = ModelFormat.load(modelDir.resolve("model.onnxlite"))
-    val pipeline = loadPipeline(modelDir)
-    val session = new Session(graph) // optimization passes run here, every query
+    val nn = loadModel(modelDir) // a fresh session (optimization passes included) every query
     var rows = 0L
     var checksum = 0.0
     CsvData.readBatches(csvPath, batchSize).foreach { batch =>
-      val preds = runBatch(session, pipeline, batch)
+      val preds = nn.predictRawBatch(batch)
       rows += preds.length
       var i = 0
       while (i < preds.length) { checksum += preds(i); i += 1 }
     }
     Result(rows, checksum)
-  }
-
-  /** Score one raw batch through a (pipeline-input) session. */
-  def runBatch(session: Session, pipeline: FeaturePipeline, batch: IndexedSeq[IndexedSeq[Any]]): Array[Float] = {
-    if (batch.isEmpty) return Array.empty
-    val cols = pipeline.inputCols
-    val perRow = batch.map(pipeline.toGraphFeeds)
-    val feeds = cols.zipWithIndex.map { case (c, i) =>
-      c -> new Tensor(batch.size, 1, Array.tabulate(batch.size)(r => perRow(r)(i).toFloat))
-    }.toMap
-    session.run(feeds).data
   }
 }

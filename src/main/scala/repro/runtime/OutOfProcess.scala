@@ -10,19 +10,16 @@ import java.nio.file.{Files, Path, Paths}
   */
 object OutOfProcess {
 
-  final case class Result(rows: Long, checksum: Double, exitCode: Int)
+  /** `stderrTail` holds the last [[StderrTailChars]] characters the child wrote to stderr. */
+  final case class Result(rows: Long, checksum: Double, exitCode: Int, stderrTail: String)
 
-  /** Classpath of the current (forked test) JVM — sufficient to launch the
-    * external runtime against the same build.
-    */
-  def currentClasspath: String = System.getProperty("java.class.path")
+  val StderrTailChars = 4096
 
   def run(modelDir: Path, csvPath: Path, batchSize: Int = 4096, mode: String = "nn"): Result = {
-    val pb = new ProcessBuilder(
-      javaBin, "-Xmx2g", "-cp", currentClasspath,
-      "repro.runtime.ExternalRuntimeMain", modelDir.toString, batchSize.toString, mode)
-    pb.redirectErrorStream(false)
-    val proc = pb.start()
+    // the child runs on this JVM's classpath, i.e. against the same build
+    val proc = new ProcessBuilder(
+      javaBin, "-Xmx2g", "-cp", System.getProperty("java.class.path"),
+      "repro.runtime.ExternalRuntimeMain", modelDir.toString, batchSize.toString, mode).start()
 
     // writer thread: stream the CSV into the child's stdin
     val writer = new Thread(() => {
@@ -32,6 +29,21 @@ object OutOfProcess {
     }, "oop-writer")
     writer.setDaemon(true)
     writer.start()
+
+    // drain stderr: a child that fills the pipe would block, and this reader with it
+    val tail = new java.lang.StringBuilder
+    val drainer = new Thread(() => {
+      val err = new java.io.InputStreamReader(proc.getErrorStream)
+      val buf = new Array[Char](8192)
+      var n = err.read(buf)
+      while (n >= 0) {
+        tail.append(buf, 0, n)
+        if (tail.length > StderrTailChars) tail.delete(0, tail.length - StderrTailChars)
+        n = err.read(buf)
+      }
+    }, "oop-stderr")
+    drainer.setDaemon(true)
+    drainer.start()
 
     var rows = 0L
     var checksum = 0.0
@@ -44,7 +56,8 @@ object OutOfProcess {
     }
     writer.join()
     val exit = proc.waitFor()
-    Result(rows, checksum, exit)
+    drainer.join()
+    Result(rows, checksum, exit, tail.toString)
   }
 
   private def javaBin: String =

@@ -8,12 +8,11 @@ import org.apache.spark.unsafe.types.UTF8String
 
 /** The `PREDICT` scalar expression: invokes a deployed model pipeline on
   * each input row, inside the query plan (the paper's in-process PREDICT
-  * operator, §5).
+  * operator, §5). SQL `raven_predict` and the DataFrame
+  * [[RavenRuntime.predictBatch]] both build it.
   *
-  * This is the per-tuple evaluation path; [[RavenRuntime.predictBatch]] is
-  * the vectorized path (the paper reports ~an order of magnitude between
-  * them, §5 observation v). `CodegenFallback` keeps the surrounding plan
-  * codegen-able while the model call stays interpreted.
+  * It scores one row at a time. `CodegenFallback` keeps the surrounding
+  * plan codegen-able while the model call stays interpreted.
   */
 final case class PredictExpression(modelId: String, children: Seq[Expression])
     extends Expression with CodegenFallback {

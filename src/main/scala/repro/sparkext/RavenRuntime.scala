@@ -4,31 +4,21 @@ import org.apache.spark.sql.{DataFrame, Encoders, Row}
 import org.apache.spark.sql.types.{DoubleType, StructType}
 import repro.ml.NNPipelineModel
 
-/** Batched, partition-parallel model execution over DataFrames — the
-  * in-process integrated runtime: Spark parallelizes scan + predict across
-  * cores exactly like SQL Server parallelizes scan + PREDICT (§5
-  * observation iii), and inference runs per batch, not per tuple
-  * (observation v).
+/** Model execution over DataFrames. A classical pipeline is scored by the
+  * same `raven_predict` expression SQL uses, so Raven's rules specialize
+  * and inline it as they do a SQL query. NN-translated pipelines and opaque
+  * UDFs run per partition, in batches of rows.
   */
 object RavenRuntime {
 
   val DefaultBatchSize = 4096
 
-  /** Append `outputCol` with pipeline predictions (classical model path). */
-  def predictBatch(
-      df: DataFrame,
-      modelId: String,
-      outputCol: String,
-      batchSize: Int = DefaultBatchSize,
-  ): DataFrame = {
-    val mp = ModelRegistry.get(modelId)
-    val inputCols = mp.inputCols
-    withPredictions(df, inputCols, outputCol, batchSize) { batch =>
-      // Executors resolve the pipeline from the shared registry (local mode:
-      // one JVM), keeping the deployed model instance — and any lazily built
-      // state — cached across batches and queries.
-      ModelRegistry.get(modelId).predictRawBatch(batch)
-    }
+  /** Append `outputCol` with the deployed pipeline's predictions: the
+    * `raven_predict` PREDICT operator, planned and optimized by the session.
+    */
+  def predictBatch(df: DataFrame, modelId: String, outputCol: String): DataFrame = {
+    Raven.installRuntimeOnly(df.sparkSession)
+    df.selectExpr("*", s"${Raven.predictSql(modelId)} AS $outputCol")
   }
 
   /** Append `outputCol` with NN-translated pipeline predictions executed by
@@ -36,13 +26,8 @@ object RavenRuntime {
     * its inference session, so passing a registry-held instance gives
     * session reuse across queries.
     */
-  def predictNNBatch(
-      df: DataFrame,
-      nn: NNPipelineModel,
-      outputCol: String,
-      batchSize: Int = DefaultBatchSize,
-  ): DataFrame =
-    withPredictions(df, nn.inputCols, outputCol, batchSize)(batch => nn.predictRawBatch(batch.toIndexedSeq))
+  def predictNNBatch(df: DataFrame, nn: NNPipelineModel, outputCol: String): DataFrame =
+    withPredictions(df, nn.inputCols, outputCol, DefaultBatchSize)(batch => nn.predictRawBatch(batch.toIndexedSeq))
 
   /** Append `outputCol` computed by an opaque row UDF (the fallback path). */
   def applyUdf(

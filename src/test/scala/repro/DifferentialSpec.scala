@@ -6,14 +6,14 @@ import repro.core.analysis.StaticAnalyzer
 import repro.core.codegen.RuntimeCodeGenerator
 import repro.core.opt.CrossOptimizer
 import repro.ml.ModelPipeline
-import repro.sparkext.Raven
+import repro.sparkext.{Raven, RavenRuntime}
 
-/** The IR path (static analysis, IR optimization, lowering) and the SQL
-  * `raven_predict` path, both under Raven's rules, against the same query
-  * on a session with only the runtime installed. Each model is queried
-  * under each cohort filter, filtered query first and unfiltered first,
-  * under an id of its own, so that the variants one query derives meet the
-  * other query.
+/** The IR path (static analysis, IR optimization, lowering), the SQL
+  * `raven_predict` path and the DataFrame `RavenRuntime.predictBatch` path,
+  * all under Raven's rules, against the same query on a session with only
+  * the runtime installed. Each model is queried under each cohort filter,
+  * filtered query first and unfiltered first, under an id of its own, so
+  * that the variants one query derives meet the other query.
   */
 class DifferentialSpec extends AnyFunSuite with SparkSpec {
   import DifferentialSpec._
@@ -38,6 +38,12 @@ class DifferentialSpec extends AnyFunSuite with SparkSpec {
   private def sqlRows(s: SparkSession, f: Family, mp: ModelPipeline, filter: Option[String]): Seq[(Long, Double)] =
     rows(s.sql(s"SELECT ${f.key}, ${Raven.predictSql(mp.id)} AS score FROM ${f.table}${where(filter)}"))
 
+  private def dfRows(s: SparkSession, f: Family, mp: ModelPipeline, filter: Option[String]): Seq[(Long, Double)] = {
+    val table = s.table(f.table)
+    val in = filter.fold(table)(w => table.where(w))
+    rows(RavenRuntime.predictBatch(in, mp.id, "score").select(f.key, "score"))
+  }
+
   private def rows(df: DataFrame): Seq[(Long, Double)] =
     df.collect().map(r => r.getLong(0) -> r.getDouble(1)).sortBy(_._1).toSeq
 
@@ -48,7 +54,7 @@ class DifferentialSpec extends AnyFunSuite with SparkSpec {
       val cohorts = f.filters.map(Some(_)) :+ None
       val reference = cohorts.map(w => w -> sqlRows(TestTables.reference, f, f.mp, w)).toMap
       for ((filter, i) <- cohorts.zipWithIndex; filteredFirst <- Seq(true, false) if filter.nonEmpty || filteredFirst;
-           (path, run) <- Seq("ir" -> irRows _, "sql" -> sqlRows _)) {
+           (path, run) <- Seq("ir" -> irRows _, "sql" -> sqlRows _, "df" -> dfRows _)) {
         // a fresh id: no variants derived by earlier queries
         val mp = f.mp.copy(id = s"diff_${f.name}_${i}_${filteredFirst}_$path")
         Raven.deploy(mp)

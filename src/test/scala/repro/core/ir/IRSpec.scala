@@ -1,7 +1,6 @@
 package repro.core.ir
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.ml.{CatEquals, NumRange}
 
 class IRSpec extends AnyFunSuite {
 
@@ -29,19 +28,6 @@ class IRSpec extends AnyFunSuite {
     assert(cs.size == 3)
     assert(ScalarExpr.conjunction(cs).get.toSql == e.toSql)
     assert(ScalarExpr.conjunction(Nil).isEmpty)
-  }
-
-  test("toColPredicates extracts comparisons with literals, both orders") {
-    val e = And(
-      And(Cmp(">", ColRef("a"), NumLit(5)), Cmp(">=", NumLit(2), ColRef("b"))),
-      And(Cmp("=", ColRef("c"), StrLit("v")), Cmp("=", ColRef("a"), ColRef("b"))))
-    val ps = ScalarExpr.toColPredicates(e)
-    assert(ps.size == 3) // col-col comparison ignored
-    val a = ps.collectFirst { case NumRange("a", c) => c }.get
-    assert(a.lo == 5.0 && a.loStrict)
-    val b = ps.collectFirst { case NumRange("b", c) => c }.get
-    assert(b.hi == 2.0 && !b.hiStrict) // 2 >= b → b <= 2
-    assert(ps.contains(CatEquals("c", "v")))
   }
 
   test("IR output columns propagate through operators") {

@@ -1,6 +1,9 @@
 package repro.runtime
 
 import java.nio.file.Files
+import scala.concurrent.{Await, Future}
+import scala.concurrent.ExecutionContext.Implicits.global
+import scala.concurrent.duration._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestModels
 import repro.data.FlightData
@@ -66,6 +69,17 @@ class RuntimesSpec extends AnyFunSuite {
     assert(math.abs(res.checksum - expected.sum) < 1e-2)
   }
 
+  test("out-of-process runtime drains a child's stderr and reports the failure") {
+    val dir = savedModelDir
+    val csv = csvOf(rows.take(10))
+    // the unknown mode's message, about 100 KB, overflows the stderr pipe
+    val run = Future(OutOfProcess.run(dir, csv, mode = "x" * 100000))
+    val res = Await.result(run, 60.seconds)
+    assert(res.exitCode != 0)
+    assert(res.rows == 0)
+    assert(res.stderrTail.length <= OutOfProcess.StderrTailChars && res.stderrTail.contains("xxxx"))
+  }
+
   test("simulated GPU session computes identical results to the CPU session") {
     val model = TestModels.hospitalForest
     val g = NNTranslator.translateModel(model, "rf_gpu")
@@ -75,12 +89,5 @@ class RuntimesSpec extends AnyFunSuite {
     val a = cpu.predictBatch(xs)
     val b = gpu.predictBatch(xs)
     a.zip(b).foreach { case (x, y) => assert(x == y) }
-  }
-
-  test("ClassicRuntime raw scoring matches pipeline predictions") {
-    val got = ClassicRuntime.scoreRaw(rows.take(100).toArray, mp)
-    rows.take(100).zip(got).foreach { case (r, g) =>
-      assert(g == mp.predictRaw(r))
-    }
   }
 }

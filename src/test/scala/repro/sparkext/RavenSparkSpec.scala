@@ -1,5 +1,7 @@
 package repro.sparkext
 
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.expressions.If
 import org.apache.spark.sql.catalyst.plans.logical.{Join, LogicalPlan}
 import org.scalatest.BeforeAndAfterEach
 import org.scalatest.funsuite.AnyFunSuite
@@ -279,6 +281,26 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
     val perRow = spark.sql(s"SELECT *, $handSql AS score FROM patients_all")
     TestTables.assertSameRows(
       batched.select("patient_id", "score"), perRow.select("patient_id", "score"), eps = 0.0)
+  }
+
+  test("a DataFrame predict is specialized and inlined like the same SQL query") {
+    def pregnant(s: SparkSession): DataFrame = RavenRuntime.predictBatch(
+      s.table("patients_all").where("pregnant = 1"), TestModels.handTreePipeline.id, "score")
+    def rows(df: DataFrame) =
+      df.select("patient_id", "score").collect().map(r => r.getLong(0) -> r.getDouble(1)).sortBy(_._1).toSeq
+    def ifs(plan: LogicalPlan): Int =
+      plan.collect { case p => p.expressions.map(_.collect { case e: If => e }.size).sum }.sum
+    val reference = pregnant(TestTables.reference)
+    assert(predictsIn(reference.queryExecution.optimizedPlan).size == 1)
+    withRules(Raven.rules(512)) {
+      val df = pregnant(spark)
+      val plan = df.queryExecution.optimizedPlan
+      val sqlPlan = spark.sql(s"SELECT *, $handSql AS score FROM patients_all WHERE pregnant = 1")
+        .queryExecution.optimizedPlan
+      assert(predictsIn(plan).isEmpty, s"not inlined: $plan")
+      assert(ifs(plan) > 0 && ifs(plan) == ifs(sqlPlan), s"inlined differently from the SQL query: $plan")
+      assert(rows(df).nonEmpty && rows(df) == rows(reference))
+    }
   }
 
   test("redeploying a different model under an id drops its derived variants") {
