@@ -2,8 +2,8 @@ package repro.bench
 
 import org.apache.spark.sql.SparkSession
 
-/** SparkSession factory for the `jobs/` entrypoints (spark-submit or
-  * plain `java` launch; mirrors the test harness settings).
+/** SparkSession factory for the `main` methods of T4 and T6 (spark-submit
+  * or plain `java` launch; mirrors the test harness settings).
   */
 object JobSpark {
   def session(name: String): SparkSession =

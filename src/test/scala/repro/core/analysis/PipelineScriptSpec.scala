@@ -143,6 +143,79 @@ class PipelineScriptSpec extends AnyFunSuite {
     assert(res.plans(1).ir.isInstanceOf[IRScan])
   }
 
+  test("an if without else at the end of the script also yields the not-taken path") {
+    val res = analyze(
+      """df = read("patients")
+        |if mode > 0:
+        |    df = df[df.age > 35]""".stripMargin)
+    assert(res.plans.map(_.pathCondition) == Seq(Some("mode > 0"), Some("not(mode > 0)")))
+    assert(res.plans(0).ir.isInstanceOf[IRFilter])
+    assert(res.plans(1).ir.isInstanceOf[IRScan])
+  }
+
+  test("nested conditions are joined with and") {
+    val res = analyze(
+      """df = read("patients")
+        |if a > 0:
+        |    if b > 0:
+        |        df = df[df.age > 35]
+        |    else:
+        |        df = df[df.age <= 35]
+        |return df""".stripMargin)
+    assert(res.plans.map(_.pathCondition) ==
+      Seq(Some("a > 0 and b > 0"), Some("a > 0 and not(b > 0)"), Some("not(a > 0)")))
+    assert(res.plans.map(_.ir.collectNodes.collectFirst { case f: IRFilter => f.pred.toSql }) ==
+      Seq(Some("(age > 35)"), Some("(age <= 35)"), None))
+  }
+
+  test("a path ends at its first return") {
+    val res = analyze(
+      """df = read("patients")
+        |if mode > 0:
+        |    young = df[df.age < 30]
+        |    return young
+        |return df""".stripMargin)
+    assert(res.plans.map(_.ir.isInstanceOf[IRFilter]) == Seq(true, false))
+  }
+
+  test("an error inside an if-block reports its own line") {
+    val err = intercept[PipelineScript.AnalysisError](analyze(
+      """df = read("patients")
+        |if mode > 0:
+        |    df = df[df.nope > 3]
+        |return df""".stripMargin))
+    assert(err.getMessage.startsWith("line 3"))
+  }
+
+  test("a model loaded before an if is not resolved again by its pipeline id") {
+    val byAlias: String => repro.ml.ModelPipeline = {
+      case "dt"  => TestModels.handTreePipeline
+      case other => throw new IllegalArgumentException(s"no model $other")
+    }
+    val res = PipelineScript.analyze(
+      """df = read("patients")
+        |m = load_model("dt")
+        |if mode > 0:
+        |    df = df[df.age > 35]
+        |return df""".stripMargin, catalog, byAlias)
+    assert(res.plans.size == 2)
+  }
+
+  test("an unquoted non-numeric literal is an analysis error with its line") {
+    val err = intercept[PipelineScript.AnalysisError](analyze(
+      """df = read("patients")
+        |df = df[df.age > abc]""".stripMargin))
+    assert(err.getMessage.startsWith("line 2"))
+  }
+
+  test("a model id the store cannot resolve is an analysis error with its line") {
+    val err = intercept[PipelineScript.AnalysisError](analyze(
+      """df = read("patients")
+        |m = load_model("x")""".stripMargin))
+    assert(err.getMessage.startsWith("line 2"))
+    assert(err.getCause.isInstanceOf[IllegalArgumentException])
+  }
+
   test("loops trigger whole-script UDF fallback (§3.2)") {
     val res = analyze(
       """df = read("patients")
@@ -170,12 +243,23 @@ class PipelineScriptSpec extends AnyFunSuite {
     for (_ <- 1 to 3) analyze("""df = read("patients")
                                 |df = df[df.age > 35]
                                 |return df""".stripMargin)
-    val res = analyze(
+    val straight =
       """df = read("patients")
         |df = df[df.age > 35]
         |df = df[["patient_id", "age", "pregnant"]]
-        |return df""".stripMargin)
-    assert(res.elapsedMicros < 10000, s"analysis took ${res.elapsedMicros} us")
+        |return df""".stripMargin
+    val conditional =
+      """df = read("patients")
+        |if mode > 0:
+        |    df = df[df.age > 35]
+        |else:
+        |    df = df[df.age <= 35]
+        |df = df[["patient_id", "age", "pregnant"]]
+        |return df""".stripMargin
+    for (script <- Seq(straight, conditional)) {
+      val res = analyze(script)
+      assert(res.elapsedMicros < 10000, s"analysis took ${res.elapsedMicros} us")
+    }
   }
 
   test("script with no frame fails") {
