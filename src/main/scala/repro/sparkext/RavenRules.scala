@@ -182,9 +182,10 @@ object RavenRules {
     }
   }
 
-  /** Model inlining (§4.2): small decision trees / forests become If/Case
-    * scalar expressions — pure relational logic that whole-stage codegen
-    * compiles, removing the model-runtime boundary entirely.
+  /** Model inlining (§4.2): a small decision tree or forest becomes an
+    * [[InlinedTrees]] expression over its feature expressions, which
+    * whole-stage codegen compiles with the rest of the stage, removing the
+    * model-runtime boundary entirely.
     */
   final case class ModelInlining(maxNodes: Int) extends Rule[LogicalPlan] {
     def apply(plan: LogicalPlan): LogicalPlan = plan.transformAllExpressions {
@@ -194,21 +195,26 @@ object RavenRules {
     private def maybeInline(p: PredictExpression): Option[Expression] = {
       val mp = ModelRegistry.get(p.modelId)
       if (mp.scaler.nonEmpty) return None
-      lazy val feats = featureExprs(mp.pipeline, p.children)
       mp.model match {
-        case t: DecisionTreeModel if t.nodeCount <= maxNodes =>
-          Some(inlineTree(t.root, feats))
-        case f: RandomForestModel if f.totalNodes <= maxNodes =>
-          val sum = f.trees.map(t => inlineTree(t.root, feats)).reduce[Expression](Add(_, _))
-          Some(Divide(sum, Literal(f.trees.size.toDouble)))
+        case t: DecisionTreeModel if t.nodeCount <= maxNodes => Some(inline(p, mp.pipeline, IndexedSeq(t)))
+        case f: RandomForestModel if f.totalNodes <= maxNodes => Some(inline(p, mp.pipeline, f.trees))
         case _ => None
       }
     }
 
-    private def inlineTree(n: TreeNode, feats: IndexedSeq[Expression]): Expression = n match {
-      case Leaf(v)           => Literal(v)
-      case repro.ml.Split(f, t, l, r) =>
-        If(LessThan(feats(f), Literal(t)), inlineTree(l, feats), inlineTree(r, feats))
+    /** The trees over the features they read, renumbered to those features'
+      * positions: a column no split reads stays prunable from the scan.
+      */
+    private def inline(p: PredictExpression, pipeline: FeaturePipeline, trees: IndexedSeq[DecisionTreeModel])
+        : InlinedTrees = {
+      val used = trees.flatMap(_.usedFeatures).distinct.sorted
+      val slot = used.zipWithIndex.toMap
+      def renumber(n: TreeNode): TreeNode = n match {
+        case repro.ml.Split(f, t, l, r) => repro.ml.Split(slot(f), t, renumber(l), renumber(r))
+        case leaf                       => leaf
+      }
+      val feats = featureExprs(pipeline, p.children)
+      InlinedTrees(p.modelId, trees.map(t => t.copy(root = renumber(t.root), numFeatures = used.size)), used.map(feats))
     }
 
     /** Catalyst expression per feature index over the predict's children. */

@@ -1,7 +1,6 @@
 package repro.core.opt
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.catalyst.expressions.If
 import org.apache.spark.sql.catalyst.plans.logical.{Join, LogicalPlan}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec, TestModels, TestTables}
@@ -9,7 +8,7 @@ import repro.core.analysis.StaticAnalyzer
 import repro.core.codegen.RuntimeCodeGenerator
 import repro.core.ir._
 import repro.ml._
-import repro.sparkext.{ModelRegistry, PredictExpression, Raven, RavenRules}
+import repro.sparkext.{InlinedTrees, ModelRegistry, PredictExpression, Raven, RavenRules}
 
 /** The IR's relational rewrites, and the model rewrites Raven's Catalyst
   * rules apply to the lowered IR: the model-level tests assert on Spark's
@@ -131,7 +130,10 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
   test("model inlining turns small trees into relational CASE logic") {
     val plan = sparkPlan(fig1Ir)
     assert(predictsIn(plan).isEmpty, s"plan:\n$plan")
-    assert(plan.exists(_.expressions.exists(_.find(_.isInstanceOf[If]).isDefined)))
+    // one inlined node of the same variant in place of each predict the plan has without inlining
+    val inlined = plan.flatMap(_.expressions.flatMap(_.collect { case e: InlinedTrees => e }))
+    val predicts = TestTables.withRules(Raven.rules(inlineMaxNodes = 0))(predictsIn(sparkPlan(fig1Ir)))
+    assert(inlined.nonEmpty && inlined.map(_.variantId) == predicts.map(_.modelId), s"plan:\n$plan")
   }
 
   test("model inlining respects the node budget") {

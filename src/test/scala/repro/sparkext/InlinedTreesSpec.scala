@@ -1,0 +1,138 @@
+package repro.sparkext
+
+import java.nio.file.Files
+import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.catalyst.expressions.codegen.ByteCodeStats
+import org.apache.spark.sql.execution.debug.codegenStringSeq
+import org.apache.spark.sql.types._
+import org.scalatest.funsuite.AnyFunSuite
+import repro.{SparkSpec, TestModels}
+import repro.data.HospitalData
+import repro.ml._
+
+/** The inlined form of a tree model ([[InlinedTrees]]): its answers equal
+  * the per-row predict's on every input, in generated and in interpreted
+  * code, and its generated code stays small enough to compile and JIT.
+  * Each query reads a parquet-backed table, so that Spark evaluates the
+  * node in the scan's stage and not while optimizing a local relation.
+  */
+class InlinedTreesSpec extends AnyFunSuite with SparkSpec {
+
+  private val numeric = HospitalData.pipeline.numericCols
+  private val schema = StructType(StructField("id", LongType, nullable = false) +:
+    (numeric.map(StructField(_, DoubleType)) :+ StructField("gender", StringType)))
+
+  /** A Raven-optimized and an unoptimized session, each with `rows` as the parquet view `t`. */
+  private def sessions(rows: Seq[Row]): (SparkSession, SparkSession) = {
+    val dir = Files.createTempDirectory("inlined").resolve("t").toString
+    spark.createDataFrame(rows.asJava, schema).write.parquet(dir)
+    val optimized = spark.newSession()
+    Raven.install(optimized)
+    val reference = spark.newSession()
+    Raven.installRuntimeOnly(reference)
+    Seq(optimized, reference).foreach(_.read.parquet(dir).createOrReplaceTempView("t"))
+    (optimized, reference)
+  }
+
+  private def row(id: Long, j: HospitalData.Joined): Row =
+    Row.fromSeq(id +: HospitalData.rawValues(j).map {
+      case s: String => s
+      case v         => v.asInstanceOf[Number].doubleValue: Any
+    })
+
+  private def scores(df: DataFrame): Map[Long, Double] = df.collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
+
+  private def inlined(df: DataFrame): Seq[InlinedTrees] =
+    df.queryExecution.optimizedPlan.flatMap(_.expressions.flatMap(_.collect { case e: InlinedTrees => e }))
+
+  test("a NULL numeric feature reads as 0.0 in the inlined tree, as in the per-row predict") {
+    Raven.deploy(TestModels.handTreePipeline)
+    val base = HospitalData.localJoined(1).head.copy(pregnant = 1, age = 40, bp = 120.0)
+    // bp < 140 → 5.0; a NULL bp that skipped the split would fall through to age ≥ 35 → 10.0
+    val rows = Seq(row(0, base), row(1, base.copy(bp = 150.0)), Row.fromSeq(row(2, base).toSeq.updated(9, null)))
+    val (optimized, reference) = sessions(rows)
+    val sql = s"SELECT id, ${Raven.predictSql(TestModels.handTreePipeline.id)} AS score FROM t WHERE pregnant = 1"
+    val df = optimized.sql(sql)
+    assert(inlined(df).size == 1, df.queryExecution.optimizedPlan)
+    assert(scores(reference.sql(sql)) == Map(0L -> 5.0, 1L -> 10.0, 2L -> 5.0))
+    assert(scores(df) == scores(reference.sql(sql)))
+  }
+
+  test("the inlined forest compiles as whole-stage code, every method under 8 000 bytes") {
+    // the benchmark's forest shape: above the inlining budget until pruned for pregnant = 1
+    val rf = RandomForest.train(TestModels.hospitalX, TestModels.hospitalY, isClassifier = false,
+      numTrees = 10, maxDepth = 5, minSamplesLeaf = 5)
+    assert(rf.totalNodes > Raven.DefaultInlineMaxNodes)
+    Raven.deploy(ModelPipeline("hospital_rf10", HospitalData.pipeline, None, rf))
+    val (optimized, _) = sessions(HospitalData.localJoined(500).toSeq.zipWithIndex.map { case (j, i) => row(i, j) })
+    val predict = Raven.predictSql("hospital_rf10")
+    val queries = Seq(
+      s"SELECT id, $predict AS score FROM t WHERE pregnant = 1 AND $predict > 7",
+      s"SELECT count(*), sum($predict) FROM t WHERE pregnant = 1")
+    for (sql <- queries) {
+      val df = optimized.sql(sql)
+      assert(inlined(df).nonEmpty && inlined(df).forall(_.variantId.contains('#')), s"not pruned and inlined: $sql")
+      df.collect()
+      val stages = codegenStringSeq(df.queryExecution.executedPlan)
+      val scoring = stages.filter(_._2.contains("ravenTree"))
+      assert(scoring.nonEmpty, s"no whole-stage code scores the trees: $sql")
+      for ((stage, _, stats) <- stages) {
+        assert(stats != ByteCodeStats.UNAVAILABLE, s"does not compile: $sql\n$stage")
+        assert(stats.maxMethodCodeSize < 8000, s"a method of ${stats.maxMethodCodeSize} bytes: $sql\n$stage")
+      }
+    }
+  }
+
+  test("inlined trees equal predictRaw bit for bit, in generated and in interpreted code") {
+    Seq(TestModels.handTreePipeline, TestModels.hospitalForestPipeline, TestModels.hospitalTreePipeline)
+      .foreach(Raven.deploy)
+    val pruned = ModelRegistry.deriveFor(TestModels.hospitalForestPipeline.id,
+      Seq(NumRange("pregnant", FeatureConstraint.equalTo(1.0))))
+    val models = Seq(TestModels.handTreePipeline.id, TestModels.hospitalForestPipeline.id, pruned,
+      TestModels.hospitalTreePipeline.id).map(ModelRegistry.get)
+    assert(models(2).model.asInstanceOf[RandomForestModel].totalNodes <
+      TestModels.hospitalForest.totalNodes, "the variant is not pruned")
+
+    val base = HospitalData.localJoined(200)
+    val template = row(0, base.head.copy(pregnant = 1))
+    def variant(f: Int, v: Any): Row = Row.fromSeq(template.toSeq.updated(1 + f, v))
+    // every split threshold of every model, as the value of the raw column it reads
+    val atThreshold = for {
+      mp <- models
+      t  <- mp.model match {
+        case t: DecisionTreeModel => Seq(t)
+        case f: RandomForestModel => f.trees
+        case other                => fail(s"not a tree model: $other")
+      }
+      s  <- t.internalNodes if s.feature < mp.pipeline.numericCols.size
+    } yield variant(numeric.indexOf(mp.pipeline.numericCols(s.feature)), s.threshold)
+    val special = atThreshold ++ numeric.indices.flatMap(f => Seq(variant(f, Double.NaN), variant(f, null))) ++
+      Seq(variant(numeric.size, "X"), variant(numeric.size, null))
+    val rows = (base.toSeq.map(row(0, _)) ++ special).zipWithIndex.map { case (r, i) => Row.fromSeq(i.toLong +: r.toSeq.tail) }
+    val (optimized, _) = sessions(rows)
+
+    for ((wholeStage, factory) <- Seq("true" -> "CODEGEN_ONLY", "false" -> "CODEGEN_ONLY", "false" -> "NO_CODEGEN")) {
+      optimized.conf.set("spark.sql.codegen.wholeStage", wholeStage)
+      optimized.conf.set("spark.sql.codegen.factoryMode", factory)
+      for (mp <- models) {
+        val df = optimized.sql(s"SELECT id, ${Raven.predictSql(mp.id)} AS score FROM t")
+        val node = inlined(df)
+        assert(node.size == 1, df.queryExecution.optimizedPlan)
+        val trees = ModelRegistry.get(node.head.variantId).model match {
+          case t: DecisionTreeModel => s"1 trees, ${t.nodeCount} nodes"
+          case f: RandomForestModel => s"${f.trees.size} trees, ${f.totalNodes} nodes"
+          case other                => fail(s"not a tree model: $other")
+        }
+        assert(df.queryExecution.optimizedPlan.toString.contains(s"raven_inlined(${node.head.variantId}, $trees)"))
+        val got = scores(df)
+        val mismatches = rows.filter { r =>
+          val raw = mp.inputCols.map(c => r.get(schema.fieldIndex(c))).toIndexedSeq
+          java.lang.Double.doubleToRawLongBits(got(r.getLong(0))) !=
+            java.lang.Double.doubleToRawLongBits(mp.predictRaw(raw))
+        }
+        assert(mismatches.isEmpty, s"${mp.id}, wholeStage=$wholeStage, $factory: ${mismatches.take(3)}")
+      }
+    }
+  }
+}

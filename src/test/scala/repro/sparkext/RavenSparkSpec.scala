@@ -1,7 +1,6 @@
 package repro.sparkext
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.catalyst.expressions.If
 import org.apache.spark.sql.catalyst.plans.logical.{Join, LogicalPlan}
 import org.scalatest.BeforeAndAfterEach
 import org.scalatest.funsuite.AnyFunSuite
@@ -288,8 +287,8 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
       s.table("patients_all").where("pregnant = 1"), TestModels.handTreePipeline.id, "score")
     def rows(df: DataFrame) =
       df.select("patient_id", "score").collect().map(r => r.getLong(0) -> r.getDouble(1)).sortBy(_._1).toSeq
-    def ifs(plan: LogicalPlan): Int =
-      plan.collect { case p => p.expressions.map(_.collect { case e: If => e }.size).sum }.sum
+    def inlined(plan: LogicalPlan): Seq[InlinedTrees] =
+      plan.collect { case p => p.expressions.flatMap(_.collect { case e: InlinedTrees => e }) }.flatten
     val reference = pregnant(TestTables.reference)
     assert(predictsIn(reference.queryExecution.optimizedPlan).size == 1)
     withRules(Raven.rules(512)) {
@@ -298,7 +297,10 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
       val sqlPlan = spark.sql(s"SELECT *, $handSql AS score FROM patients_all WHERE pregnant = 1")
         .queryExecution.optimizedPlan
       assert(predictsIn(plan).isEmpty, s"not inlined: $plan")
-      assert(ifs(plan) > 0 && ifs(plan) == ifs(sqlPlan), s"inlined differently from the SQL query: $plan")
+      assert(inlined(plan).size == 1 && inlined(sqlPlan).size == 1, s"not one inlined node per predict: $plan")
+      // the variant id, tree count and node count
+      assert(inlined(plan).head.toString == inlined(sqlPlan).head.toString,
+        s"inlined differently from the SQL query: $plan\n$sqlPlan")
       assert(rows(df).nonEmpty && rows(df) == rows(reference))
     }
   }
