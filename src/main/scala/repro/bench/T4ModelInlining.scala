@@ -2,12 +2,11 @@ package repro.bench
 
 import java.nio.file.Files
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.{expr, sum}
+import org.apache.spark.sql.functions.sum
 import repro.bench.BenchUtil._
 import repro.data.HospitalData
-import repro.ml.{DecisionTree, FeatureConstraint, ModelPruner, NumRange}
 import repro.runtime.{CsvData, OutOfProcess}
-import repro.sparkext.{ModelRegistry, Raven, RavenRuntime}
+import repro.sparkext.{InlinedTrees, ModelRegistry, Raven, RavenRuntime}
 
 /** Table 4 — Model inlining (Fig. 2(c)).
   *
@@ -21,8 +20,10 @@ import repro.sparkext.{ModelRegistry, Raven, RavenRuntime}
   * runs in a separate framework process that the engine exports rows to
   * (a real forked JVM fed over pipes, like the paper's external Python);
   * an in-driver collect+score ablation isolates the process-boundary cost;
-  * "inlined UDF" = the tree as a CASE expression compiled by Spark
-  * whole-stage codegen, running scan+score distributed in-engine.
+  * "inlined" = the same `raven_predict` on a session with Raven's rules,
+  * which inline the tree (pruned by the cohort's predicate) as an
+  * [[InlinedTrees]] expression that whole-stage codegen compiles, running
+  * scan+score distributed in-engine.
   */
 object T4ModelInlining {
 
@@ -38,8 +39,6 @@ object T4ModelInlining {
     val df = HospitalData.joinedDf(spark, rows, seed = 92).cache()
     df.count() // materialize the "database table"
 
-    val featureExprs = DecisionTree.featureSqlExprs(mp.pipeline)
-    val caseSql = BenchModels.hospitalTree.toCaseSql(featureExprs)
     val rawIdx = mp.inputCols.map(df.schema.fieldIndex).toArray
 
     /** Framework outside the DB: export the table and pipe it through a
@@ -56,26 +55,36 @@ object T4ModelInlining {
     def sklearnDriver(d: DataFrame): Double =
       mp.predictRawBatch(d.collect().map(r => rawIdx.map(r.get).toIndexedSeq: IndexedSeq[Any])).sum
     def predictOp(d: DataFrame): Double = collectSum(RavenRuntime.predictBatch(d, mp.id, "score"))
-    def inlined(d: DataFrame, sql: String = caseSql): Double = collectSum(d.withColumn("score", expr(sql)))
+
+    // the same PREDICT under Raven's rules, which inline the tree: a session
+    // of their own over the same cached rows
+    val raven = spark.newSession()
+    Raven.install(raven)
+    df.createOrReplaceGlobalTempView("t4_rows")
+    val ravenDf = raven.table("global_temp.t4_rows")
+    val ravenCohort = ravenDf.filter("pregnant = 1")
+    def inlinedVariants(d: DataFrame): Seq[String] =
+      RavenRuntime.predictBatch(d, mp.id, "score").queryExecution.optimizedPlan
+        .flatMap(_.expressions.flatMap(_.collect { case e: InlinedTrees => e.variantId }))
+    require(inlinedVariants(ravenDf).size == 1, "Raven did not inline the tree")
+    require(inlinedVariants(ravenCohort).exists(_.contains('#')), "Raven did not inline a pruned variant on the cohort")
 
     // correctness: all paths agree on the checksum
-    val sums = Seq(sklearnExternal(df), sklearnDriver(df), predictOp(df), inlined(df))
+    val sums = Seq(sklearnExternal(df), sklearnDriver(df), predictOp(df), predictOp(ravenDf))
     require(sums.forall(s => math.abs(s - sums.head) / math.abs(sums.head) < 1e-4), s"paths diverged: $sums")
 
     val tExternal = timeMillis(warmup = 0, reps = 2)(sklearnExternal(df))
     val tDriver = timeMillis(warmup = 1, reps = 2)(sklearnDriver(df))
     val tPredict = timeMillis(warmup = 1, reps = 2)(predictOp(df))
-    val tInline = timeMillis(warmup = 1, reps = 2)(inlined(df))
+    val tInline = timeMillis(warmup = 1, reps = 2)(predictOp(ravenDf))
 
     // pruning on top: pregnant = 1 cohort
     val cohort = df.filter("pregnant = 1").cache()
     cohort.count()
-    val pruned = ModelPruner.pruneTree(BenchModels.hospitalTree,
-      ModelPruner.toFeatureConstraints(mp.pipeline, Seq(NumRange("pregnant", FeatureConstraint.equalTo(1.0)))))
-    val prunedSql = pruned.toCaseSql(featureExprs)
     val tExternalCohort = timeMillis(warmup = 0, reps = 2)(sklearnExternal(cohort))
-    val tInlinePruned = timeMillis(warmup = 1, reps = 2)(inlined(cohort, prunedSql))
+    val tInlinePruned = timeMillis(warmup = 1, reps = 2)(predictOp(ravenCohort))
 
+    spark.catalog.dropGlobalTempView("t4_rows")
     df.unpersist(); cohort.unpersist()
 
     BenchTable(
@@ -85,7 +94,7 @@ object T4ModelInlining {
         Seq("sklearn out-of-DB (export + external process)", rows.toString, fmt(tExternal), "1.00x"),
         Seq("sklearn in-driver (collect + per-row)", rows.toString, fmt(tDriver), fmtX(tExternal / tDriver)),
         Seq("in-engine PREDICT operator", rows.toString, fmt(tPredict), fmtX(tExternal / tPredict)),
-        Seq("inlined CASE (whole-stage codegen)", rows.toString, fmt(tInline), fmtX(tExternal / tInline)),
+        Seq("inlined by Raven (whole-stage codegen)", rows.toString, fmt(tInline), fmtX(tExternal / tInline)),
         Seq("sklearn out-of-DB on pregnant=1 cohort", "cohort", fmt(tExternalCohort), "1.00x"),
         Seq("inlined + predicate-pruned on cohort", "cohort", fmt(tInlinePruned), fmtX(tExternalCohort / tInlinePruned)),
       ))

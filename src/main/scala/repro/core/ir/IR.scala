@@ -25,15 +25,6 @@ sealed trait ScalarExpr {
     case Or(l, r)        => s"(${l.toSql} OR ${r.toSql})"
     case Not(e)          => s"(NOT ${e.toSql})"
   }
-
-  def references: Set[String] = this match {
-    case ColRef(n)     => Set(n)
-    case Cmp(_, l, r)  => l.references ++ r.references
-    case And(l, r)     => l.references ++ r.references
-    case Or(l, r)      => l.references ++ r.references
-    case Not(e)        => e.references
-    case _             => Set.empty
-  }
 }
 final case class ColRef(name: String) extends ScalarExpr
 final case class NumLit(value: Double) extends ScalarExpr
@@ -45,12 +36,6 @@ final case class Or(left: ScalarExpr, right: ScalarExpr) extends ScalarExpr
 final case class Not(expr: ScalarExpr) extends ScalarExpr
 
 object ScalarExpr {
-
-  /** Split a conjunction into its conjuncts. */
-  def conjuncts(e: ScalarExpr): Seq[ScalarExpr] = e match {
-    case And(l, r) => conjuncts(l) ++ conjuncts(r)
-    case other     => Seq(other)
-  }
 
   def conjunction(es: Seq[ScalarExpr]): Option[ScalarExpr] = es.reduceOption(And(_, _))
 }
@@ -65,8 +50,9 @@ final case class TableDef(name: String, columns: Seq[String], primaryKey: Option
 
 final case class ForeignKey(fromTable: String, fromCol: String, toTable: String, toCol: String)
 
-/** Catalog of tables and integrity constraints visible to the analyzer and
-  * the cross-optimizer.
+/** Catalog of tables and integrity constraints: the analyzer reads its
+  * columns, and Catalyst's join elimination trusts its keys once declared
+  * with [[repro.sparkext.RavenRules.RavenIntegrity]].
   */
 class SchemaCatalog extends Serializable {
   private val tables = scala.collection.mutable.LinkedHashMap[String, TableDef]()
@@ -78,6 +64,7 @@ class SchemaCatalog extends Serializable {
   def table(name: String): TableDef =
     tables.getOrElse(name, throw new IllegalArgumentException(s"unknown table '$name'"))
   def contains(name: String): Boolean = tables.contains(name)
+  def tableNames: Seq[String] = tables.keys.toSeq
 
   /** Is `from.fromCol -> to.toCol` a declared FK onto a primary key (i.e.
     * the join is row-preserving for the `from` side)?

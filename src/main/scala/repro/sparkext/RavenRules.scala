@@ -6,6 +6,7 @@ import org.apache.spark.sql.catalyst.plans.logical._
 import org.apache.spark.sql.catalyst.rules.Rule
 import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
+import repro.core.ir.SchemaCatalog
 import repro.ml._
 
 /** Raven's model rewrites as Catalyst optimizer rules, injected via
@@ -37,7 +38,7 @@ object RavenRules {
     * license pruning (the Fig. 1 `pregnant = 1 AND score > 7` case).
     * Outer joins drop the null-padded side's constraints.
     */
-  object ModelSpecialization extends Rule[LogicalPlan] {
+  object ModelSpecialization extends Rule[LogicalPlan] with PredicateHelper {
 
     def apply(plan: LogicalPlan): LogicalPlan = rewrite(plan)._1
 
@@ -133,8 +134,7 @@ object RavenRules {
     }
 
     private[sparkext] def extractConstraints(cond: Expression): Constraints = {
-      val conjuncts = splitConjuncts(cond)
-      conjuncts.flatMap {
+      splitConjunctivePredicates(cond).flatMap {
         case EqualTo(AttrNum(a), LitNum(v))            => Some(a.exprId -> NumC(FeatureConstraint.equalTo(v)))
         case EqualTo(LitNum(v), AttrNum(a))            => Some(a.exprId -> NumC(FeatureConstraint.equalTo(v)))
         case GreaterThan(AttrNum(a), LitNum(v))        => Some(a.exprId -> NumC(FeatureConstraint.greaterThan(v)))
@@ -149,11 +149,6 @@ object RavenRules {
         case EqualTo(Literal(s: UTF8String, StringType), a: AttributeReference) => Some(a.exprId -> CatC(s.toString))
         case _ => None
       }.foldLeft(Map.empty: Constraints) { case (acc, (id, c)) => merge(acc, Map(id -> c)) }
-    }
-
-    private def splitConjuncts(e: Expression): Seq[Expression] = e match {
-      case org.apache.spark.sql.catalyst.expressions.And(l, r) => splitConjuncts(l) ++ splitConjuncts(r)
-      case other => Seq(other)
     }
 
     private object AttrNum {
@@ -227,51 +222,90 @@ object RavenRules {
     }
   }
 
-  /** Join elimination licensed by declared integrity constraints: an inner
-    * equi-join whose right side is an unfiltered base relation joined on
-    * its primary key via an enforced FK, contributing no other referenced
-    * columns, is row-preserving and dropped. Constraint declaration is by
-    * key-column-name pair ([[RavenIntegrity]]) — a simplification of
-    * catalog-level FK metadata.
+  /** Join elimination licensed by the declared [[SchemaCatalog]] (§4.1). An
+    * inner equi-join `lk = rk` under a projection that reads nothing of its
+    * right side is replaced by its left side when every left row matches
+    * exactly one right row:
+    *  - each side's key column belongs to a base relation that is the plan
+    *    of exactly one declared table, and the catalog declares a foreign
+    *    key from the left one onto the right one's primary key;
+    *  - the right side is that relation under attribute-only projections
+    *    and filters whose every conjunct is deterministic, reads only `rk`
+    *    and holds of `lk` on the left side (Spark's inferred `isnotnull`
+    *    and key ranges);
+    *  - `lk` is never NULL on the left side, so no left row relied on the
+    *    join to drop it.
+    * Tables are looked up by name in the session running the query.
     */
-  object JoinElimination extends Rule[LogicalPlan] {
-    def apply(plan: LogicalPlan): LogicalPlan = plan.transformUp {
-      case p @ Project(projList, Join(l, r, Inner, Some(EqualTo(x: AttributeReference, y: AttributeReference)), _))
-          if eligible(projList, l, r, x, y) => p.copy(child = l)
+  object JoinElimination extends Rule[LogicalPlan] with PredicateHelper {
+    def apply(plan: LogicalPlan): LogicalPlan = RavenIntegrity.declared match {
+      case None => plan
+      case Some(catalog) =>
+        lazy val tables = declaredRelations(catalog)
+        plan.transformUp {
+          case p @ Project(list, Join(l, r, Inner, Some(EqualTo(x: Attribute, y: Attribute)), _))
+              if AttributeSet(list.flatMap(_.references)).intersect(r.outputSet).isEmpty &&
+                Seq((x, y), (y, x)).exists { case (lk, rk) =>
+                  l.outputSet.contains(lk) && r.outputSet.contains(rk) && rowPreserving(l, lk, r, rk, catalog, tables)
+                } => p.copy(child = l)
+        }
     }
 
-    private def eligible(
-        projList: Seq[NamedExpression], l: LogicalPlan, r: LogicalPlan,
-        x: AttributeReference, y: AttributeReference): Boolean = {
-      val (lk, rk) =
-        if (l.outputSet.contains(x) && r.outputSet.contains(y)) (x, y)
-        else if (l.outputSet.contains(y) && r.outputSet.contains(x)) (y, x)
-        else return false
-      val refs = AttributeSet(projList.flatMap(_.references))
-      refs.intersect(r.outputSet).isEmpty &&
-        RavenIntegrity.isRowPreserving(lk.name, rk.name) &&
-        unfilteredRelation(r)
+    private def rowPreserving(
+        l: LogicalPlan, lk: Attribute, r: LogicalPlan, rk: Attribute,
+        catalog: SchemaCatalog, tables: => Seq[(String, LogicalPlan)]): Boolean = {
+      def column(leaf: LeafNode, key: Attribute): Option[(String, String)] = {
+        val named = tables.collect { case (t, plan) if leaf.sameResult(plan) => t }
+        if (named.size == 1) leaf.output.find(_.exprId == key.exprId).map(a => named.head -> a.name) else None
+      }
+      def implied(c: Expression): Boolean = c.deterministic && c.references.subsetOf(AttributeSet(rk)) &&
+        l.constraints.contains(c.transform { case a: Attribute if a.exprId == rk.exprId => lk })
+      (!lk.nullable || l.constraints.contains(IsNotNull(lk))) && (for {
+        (rLeaf, rConds) <- baseRelation(r) if rConds.forall(implied)
+        (rt, rc)        <- column(rLeaf, rk)
+        (lt, lc)        <- sourceOf(l, lk).flatMap(column(_, lk))
+      } yield catalog.isRowPreserving(lt, lc, rt, rc)).getOrElse(false)
     }
 
-    /** Right side must be a base relation (possibly column-pruned) — any
-      * filtering would break row preservation. Typed-dataset plumbing
-      * (serialize/map/deserialize) is 1:1 and therefore row-preserving.
-      */
-    private def unfilteredRelation(plan: LogicalPlan): Boolean = plan match {
-      case _: LeafNode             => true
-      case Project(list, child)    => list.forall(_.isInstanceOf[AttributeReference]) && unfilteredRelation(child)
-      case s: SerializeFromObject  => unfilteredRelation(s.child)
-      case m: MapElements          => unfilteredRelation(m.child)
-      case d: DeserializeToObject  => unfilteredRelation(d.child)
-      case _                       => false
+    /** The leaf under attribute-only projections and filters, with the filters' conjuncts. */
+    private def baseRelation(plan: LogicalPlan): Option[(LeafNode, Seq[Expression])] = plan match {
+      case leaf: LeafNode => Some((leaf, Nil))
+      case Project(list, child) if list.forall(_.isInstanceOf[Attribute]) => baseRelation(child)
+      case Filter(cond, child) => baseRelation(child).map { case (leaf, cs) => (leaf, splitConjunctivePredicates(cond) ++ cs) }
+      case _ => None
+    }
+
+    /** The leaf whose column `a` is, unchanged, through projections, filters and inner joins. */
+    private def sourceOf(plan: LogicalPlan, a: Attribute): Option[LeafNode] = plan match {
+      case leaf: LeafNode if leaf.outputSet.contains(a) => Some(leaf)
+      case Project(list, child) if list.exists { case b: Attribute => b.exprId == a.exprId; case _ => false } =>
+        sourceOf(child, a)
+      case Filter(_, child) => sourceOf(child, a)
+      case Join(jl, jr, Inner, _, _) => sourceOf(if (jl.outputSet.contains(a)) jl else jr, a)
+      case _ => None
+    }
+
+    /** Each declared table the active session knows, with its analyzed plan. */
+    private def declaredRelations(catalog: SchemaCatalog): Seq[(String, LogicalPlan)] = {
+      val spark = org.apache.spark.sql.SparkSession.active
+      catalog.tableNames.filter(spark.catalog.tableExists).map(t => t -> spark.table(t).queryExecution.analyzed)
     }
   }
 
-  /** Declared PK/FK integrity by join-key column names. */
+  /** The integrity catalog [[JoinElimination]] trusts: the keys it declares
+    * hold in the data of the tables it names. `declare` replaces the
+    * catalog declared before.
+    */
   object RavenIntegrity {
-    private val pairs = java.util.concurrent.ConcurrentHashMap.newKeySet[(String, String)]()
-    def declareRowPreserving(leftKey: String, rightKey: String): Unit = pairs.add((leftKey, rightKey))
-    def isRowPreserving(leftKey: String, rightKey: String): Boolean = pairs.contains((leftKey, rightKey))
-    def clear(): Unit = pairs.clear()
+    @volatile private[sparkext] var declared: Option[SchemaCatalog] = None
+    def declare(catalog: SchemaCatalog): Unit = declared = Some(catalog)
+    def clear(): Unit = declared = None
+
+    private lazy val columnNameWarning: Unit = Console.err.println(
+      "RavenIntegrity.declareRowPreserving: a column-name pair licenses no join elimination; " +
+        "declare a SchemaCatalog with RavenIntegrity.declare")
+
+    @deprecated("declare a SchemaCatalog with RavenIntegrity.declare; a column-name pair licenses nothing", "0.6")
+    def declareRowPreserving(leftKey: String, rightKey: String): Unit = columnNameWarning
   }
 }

@@ -4,11 +4,10 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.analysis.StaticAnalyzer
 import repro.core.codegen.RuntimeCodeGenerator
-import repro.core.opt.CrossOptimizer
 import repro.ml.ModelPipeline
 import repro.sparkext.{Raven, RavenRuntime}
 
-/** The IR path (static analysis, IR optimization, lowering), the SQL
+/** The IR path (static analysis, then lowering), the SQL
   * `raven_predict` path and the DataFrame `RavenRuntime.predictBatch` path,
   * all under Raven's rules, against the same query on a session with only
   * the runtime installed. Each model is queried under each cohort filter,
@@ -32,7 +31,7 @@ class DifferentialSpec extends AnyFunSuite with SparkSpec {
   private def irRows(s: SparkSession, f: Family, mp: ModelPipeline, filter: Option[String]): Seq[(Long, Double)] = {
     val sql = s"SELECT ${f.key}, PREDICT(model) AS score FROM ${f.table}${where(filter)}"
     val ir = StaticAnalyzer.analyzeSql(sql, TestTables.hospitalCatalog, Map("model" -> mp)).ir
-    rows(RuntimeCodeGenerator.toDataFrame(CrossOptimizer.optimize(ir, TestTables.hospitalCatalog), s))
+    rows(RuntimeCodeGenerator.toDataFrame(ir, s))
   }
 
   private def sqlRows(s: SparkSession, f: Family, mp: ModelPipeline, filter: Option[String]): Seq[(Long, Double)] =

@@ -3,9 +3,11 @@ package repro
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import org.apache.spark.sql.catalyst.rules.Rule
+import org.apache.spark.network.util.JavaUtils
 import repro.core.ir.{ForeignKey, SchemaCatalog, TableDef}
 import repro.data.{FlightData, HospitalData}
 import repro.sparkext.Raven
+import repro.sparkext.RavenRules.RavenIntegrity
 
 /** Shared Spark-side tables + IR catalog for optimizer/codegen tests. */
 object TestTables {
@@ -58,6 +60,54 @@ object TestTables {
     s
   }
 
+  /** Parquet copies of the hospital tables, whose columns read back
+    * nullable, as temp views of sessions of their own: `parquetOptimized`
+    * has Raven installed, `parquetReference` only its runtime. Besides the
+    * three tables of the Fig. 1 join:
+    *  - `patient_info` holds one more row, whose `patient_id` is NULL,
+    *  - `visits` has two rows per patient,
+    *  - `prenatal_copy` reads the files of `prenatal_tests`,
+    *  - `prenatal_archive` is a copy of `prenatal_tests` in files of its own.
+    */
+  lazy val parquetOptimized: SparkSession = parquetSession(Raven.install(_))
+  lazy val parquetReference: SparkSession = parquetSession(Raven.installRuntimeOnly)
+
+  private lazy val parquetFiles: Map[String, String] = {
+    val s = SparkSpec.shared
+    val dir = java.nio.file.Files.createTempDirectory("raven-parquet")
+    sys.addShutdownHook(JavaUtils.deleteRecursively(dir.toFile))
+    val nullKey = s.sql("SELECT CAST(NULL AS BIGINT) AS patient_id, 40 AS age, 'M' AS gender, " +
+      "0 AS pregnant, 1 AS num_prev_admissions")
+    val written = Map(
+      "patient_info" -> HospitalData.patientInfo(s, HospitalN).unionByName(nullKey),
+      "blood_tests" -> HospitalData.bloodTests(s, HospitalN),
+      "prenatal_tests" -> HospitalData.prenatalTests(s, HospitalN),
+      "prenatal_archive" -> HospitalData.prenatalTests(s, HospitalN),
+      "visits" -> s.range(2 * HospitalN).selectExpr("id DIV 2 AS patient_id", "id % 2 AS visit"),
+    ).map { case (name, df) =>
+      val path = dir.resolve(name).toString
+      df.coalesce(1).write.parquet(path)
+      name -> path
+    }
+    written + ("prenatal_copy" -> written("prenatal_tests"))
+  }
+
+  private def parquetSession(install: SparkSession => Unit): SparkSession = {
+    val s = SparkSpec.shared.newSession()
+    // the tests read plans and rows, not join strategies: broadcast the small tables
+    s.conf.set("spark.sql.autoBroadcastJoinThreshold", "10MB")
+    install(s)
+    parquetFiles.foreach { case (name, path) => s.read.parquet(path).createOrReplaceTempView(name) }
+    s
+  }
+
+  /** Runs `f` with `catalog` declared to Raven's join elimination. */
+  def withIntegrity[A](catalog: SchemaCatalog = hospitalCatalog)(f: => A): A = {
+    RavenIntegrity.declare(catalog)
+    try f
+    finally RavenIntegrity.clear()
+  }
+
   /** Runs `f` with `rules` in place of the optimized session's Raven rules. */
   def withRules[A](rules: Seq[Rule[LogicalPlan]])(f: => A): A = {
     val exp = optimized.experimental
@@ -81,9 +131,10 @@ object TestTables {
 
   /** Sorted-row equality of two frames with per-value numeric tolerance.
     * Rows are ordered by their non-floating fields (tests select a unique
-    * key column, so ordering is stable), then compared pairwise.
+    * key column, so ordering is stable), then compared pairwise. Returns
+    * the number of rows.
     */
-  def assertSameRows(a: DataFrame, b: DataFrame, eps: Double = 1e-9): Unit = {
+  def assertSameRows(a: DataFrame, b: DataFrame, eps: Double = 1e-9): Int = {
     require(a.columns.toSeq == b.columns.toSeq,
       s"column mismatch: ${a.columns.toSeq} vs ${b.columns.toSeq}")
     def sortKey(r: Seq[Any]): String = r.collect {
@@ -102,5 +153,6 @@ object TestTables {
           require(vx == vy, s"row $i: $vx vs $vy\n  a=$x\n  b=$y")
       }
     }
+    ra.size
   }
 }

@@ -15,18 +15,10 @@ class IRSpec extends AnyFunSuite {
     assert(Or(Cmp("=", NumLit(1), NumLit(1)), Cmp("<>", ColRef("a"), NumLit(0))).toSql == "((1 = 1) OR (a <> 0))")
   }
 
-  test("references collects column names") {
-    val e = And(Cmp("<", ColRef("a"), NumLit(1)), Or(Cmp("=", ColRef("b"), ColRef("c")), Not(ColRef("a"))))
-    assert(e.references == Set("a", "b", "c"))
-    assert(Cmp("=", NumLit(1), StrLit("a")).references.isEmpty) // literals reference nothing
-  }
-
-  test("conjuncts splits nested ANDs only") {
-    val e = And(And(Cmp("=", ColRef("a"), NumLit(1)), Cmp("=", ColRef("b"), NumLit(2))),
+  test("conjunction joins predicates with AND") {
+    val cs = Seq(Cmp("=", ColRef("a"), NumLit(1)), Cmp("=", ColRef("b"), NumLit(2)),
       Or(Cmp("=", ColRef("c"), NumLit(3)), Cmp("=", ColRef("c"), NumLit(4))))
-    val cs = ScalarExpr.conjuncts(e)
-    assert(cs.size == 3)
-    assert(ScalarExpr.conjunction(cs).get.toSql == e.toSql)
+    assert(ScalarExpr.conjunction(cs).get.toSql == "(((a = 1) AND (b = 2)) AND ((c = 3) OR (c = 4)))")
     assert(ScalarExpr.conjunction(Nil).isEmpty)
   }
 

@@ -1,18 +1,21 @@
 package repro.core.opt
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.catalyst.plans.logical.{Join, LogicalPlan}
+import org.apache.spark.sql.catalyst.expressions.Expression
+import org.apache.spark.sql.catalyst.plans.logical.{Filter, Join, LeafNode, LogicalPlan}
+import org.apache.spark.sql.execution.FileSourceScanExec
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec, TestModels, TestTables}
 import repro.core.analysis.StaticAnalyzer
 import repro.core.codegen.RuntimeCodeGenerator
 import repro.core.ir._
 import repro.ml._
-import repro.sparkext.{InlinedTrees, ModelRegistry, PredictExpression, Raven, RavenRules}
+import repro.sparkext.{InlinedTrees, ModelRegistry, PredictExpression, Raven}
 
-/** The IR's relational rewrites, and the model rewrites Raven's Catalyst
-  * rules apply to the lowered IR: the model-level tests assert on Spark's
-  * optimized plan of the lowered query.
+/** The rewrites Catalyst applies to the lowered IR, Spark's relational ones
+  * and Raven's model rules alike: the tests assert on Spark's optimized plan
+  * of the lowered query. Join elimination is checked on the parquet tables,
+  * whose base relations name declared tables.
   */
 class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
 
@@ -37,46 +40,45 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
   private def run(ir: IRNode, session: SparkSession = TestTables.optimized): DataFrame =
     RuntimeCodeGenerator.toDataFrame(ir, session)
 
-  /** Spark's optimized plan of the IR-optimized, lowered query. */
-  private def sparkPlan(ir: IRNode): LogicalPlan = run(CrossOptimizer.optimize(ir, catalog)).queryExecution.optimizedPlan
+  /** Spark's optimized plan of the lowered query. */
+  private def sparkPlan(ir: IRNode, session: SparkSession = TestTables.optimized): LogicalPlan =
+    run(ir, session).queryExecution.optimizedPlan
 
   private def predictsIn(plan: LogicalPlan): Seq[PredictExpression] =
     plan.flatMap(_.expressions.flatMap(_.collect { case p: PredictExpression => p }))
 
-  private def withIntegrity[A](f: => A): A = {
-    RavenRules.RavenIntegrity.declareRowPreserving("patient_id", "patient_id")
-    try f
-    finally RavenRules.RavenIntegrity.clear()
-  }
+  private def joinsIn(plan: LogicalPlan): Int = plan.collect { case j: Join => j }.size
+
+  /** Filter conditions sitting directly on a base relation, without expression ids. */
+  private def scanFilters(plan: LogicalPlan): Seq[String] =
+    plan.collect { case Filter(c, _: LeafNode) => c.toString.replaceAll("#\\d+L?", "") }
 
   test("filter pushdown moves pregnant=1 to the patient_info side of the joins") {
-    val pushed = CrossOptimizer.FilterPushdown(fig1Ir)
-    val filterOnScan = pushed.collectNodes.collectFirst {
-      case IRFilter(p, IRScan("patient_info", _)) => p.toSql
-    }
-    assert(filterOnScan.contains("(pregnant = 1)"))
-  }
-
-  test("filter pushdown keeps the score predicate above the predict") {
-    val pushed = CrossOptimizer.FilterPushdown(fig1Ir)
-    val above = pushed.collectNodes.collectFirst { case IRFilter(p, _: IRPredict) => p.toSql }
-    assert(above.contains("(los > 7)"))
+    // Catalyst's pushdown on the lowered plan; the score predicate, which reads
+    // the predict, stays at the join that brings the model's inputs together
+    val plan = sparkPlan(fig1Ir, TestTables.parquetOptimized)
+    assert(scanFilters(plan).exists(c => c.contains("(pregnant = 1)") && !c.contains("raven")), s"plan:\n$plan")
+    val model = (e: Expression) => e.exists(x => x.isInstanceOf[PredictExpression] || x.isInstanceOf[InlinedTrees])
+    assert(plan.exists {
+      case Filter(c, child) => model(c) && joinsIn(child) > 0
+      case Join(_, _, _, c, _) => c.exists(model)
+      case _ => false
+    }, s"plan:\n$plan")
   }
 
   test("filter pushdown merges stacked filters") {
     val ir = IRFilter(Cmp("<", ColRef("age"), NumLit(50)),
       IRFilter(Cmp(">", ColRef("age"), NumLit(20)), IRScan("patient_info", catalog.table("patient_info").columns)))
-    val pushed = CrossOptimizer.FilterPushdown(ir)
-    assert(pushed.collectNodes.count(_.isInstanceOf[IRFilter]) == 1)
+    val plan = sparkPlan(ir, TestTables.parquetOptimized)
+    assert(plan.collect { case f: Filter => f }.size == 1 && scanFilters(plan).size == 1, s"plan:\n$plan")
   }
 
   test("filter pushdown renames through project aliases") {
     val ir = IRFilter(Cmp(">", ColRef("years"), NumLit(30)),
       IRProject(Seq(NamedExpr("years", ColRef("age")), NamedExpr("patient_id", ColRef("patient_id"))),
         IRScan("patient_info", catalog.table("patient_info").columns)))
-    val pushed = CrossOptimizer.FilterPushdown(ir)
-    val below = pushed.collectNodes.collectFirst { case IRFilter(p, _: IRScan) => p.toSql }
-    assert(below.contains("(age > 30)"))
+    val plan = sparkPlan(ir, TestTables.parquetOptimized)
+    assert(scanFilters(plan).exists(_.contains("(age > 30)")), s"plan:\n$plan")
   }
 
   test("predicate-based model pruning shrinks the tree under pregnant=1") {
@@ -102,16 +104,16 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
     val sql = """SELECT patient_id, bp FROM patient_info
                 |JOIN prenatal_tests ON patient_info.patient_id = prenatal_tests.patient_id
                 |WHERE age > 40""".stripMargin
-    val plan = CrossOptimizer.optimize(StaticAnalyzer.analyzeSql(sql, catalog, store).ir, catalog)
-    val scans = plan.collectNodes.collect { case IRScan(t, cols) => t -> cols }.toMap
-    assert(scans == Map("patient_info" -> Seq("patient_id", "age"), "prenatal_tests" -> Seq("patient_id", "bp")))
+    val df = run(StaticAnalyzer.analyzeSql(sql, catalog, store).ir, TestTables.parquetOptimized)
+    val scans = df.queryExecution.sparkPlan.collect { case s: FileSourceScanExec => s.requiredSchema.fieldNames.toSeq }
+    assert(scans.toSet == Set(Seq("patient_id", "age"), Seq("patient_id", "bp")), s"scans: $scans")
   }
 
   test("join elimination drops FK joins that contribute nothing (pregnant=0: no prenatal columns)") {
-    withIntegrity {
-      val plan = sparkPlan(StaticAnalyzer.analyzeSql(fig0Sql, catalog, store).ir)
+    TestTables.withIntegrity() {
+      val plan = sparkPlan(StaticAnalyzer.analyzeSql(fig0Sql, catalog, store).ir, TestTables.parquetOptimized)
       // the pruned model reads only age, so blood_tests and prenatal_tests supply nothing
-      assert(plan.collect { case j: Join => j }.isEmpty, s"plan:\n$plan")
+      assert(joinsIn(plan) == 0, s"plan:\n$plan")
       assert(!plan.flatMap(_.output).map(_.name).exists(Set("bp", "hematocrit")))
     }
   }
@@ -121,10 +123,11 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
     Seq("patient_info", "blood_tests", "prenatal_tests").foreach(t => noFk.register(catalog.table(t)))
     val sql = """SELECT patient_id, age FROM patient_info
                 |JOIN prenatal_tests ON patient_info.patient_id = prenatal_tests.patient_id""".stripMargin
-    def scans(c: SchemaCatalog) =
-      CrossOptimizer.optimize(StaticAnalyzer.analyzeSql(sql, c, store).ir, c).collectNodes.collect { case IRScan(t, _) => t }
-    assert(scans(noFk).contains("prenatal_tests"))
-    assert(scans(catalog) == Seq("patient_info"))
+    def joins(c: SchemaCatalog) = TestTables.withIntegrity(c) {
+      joinsIn(sparkPlan(StaticAnalyzer.analyzeSql(sql, c, store).ir, TestTables.parquetOptimized))
+    }
+    assert(joins(noFk) == 1)
+    assert(joins(catalog) == 0)
   }
 
   test("model inlining turns small trees into relational CASE logic") {
@@ -143,7 +146,7 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("NN translation replaces Predict with an LA operator") {
-    val plan = CrossOptimizer.NNTranslation(CrossOptimizer.optimize(fig1Ir, catalog))
+    val plan = CrossOptimizer.NNTranslation(fig1Ir)
     val nn = plan.collectNodes.collectFirst { case p: IRNNPredict => p }
     assert(nn.isDefined)
     assert(nn.get.category == OpCategory.LA)
@@ -158,26 +161,26 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
   test("optimized plans return identical results to the unoptimized plan") {
     val baseline = baselineOf(fig1Sql)
     assert(baseline.count() > 0, "query must select some rows to be meaningful")
-    val optimized = CrossOptimizer.optimize(fig1Ir, catalog)
-    TestTables.assertSameRows(baseline, run(optimized))
-    TestTables.assertSameRows(baseline, run(fig1Ir)) // Catalyst rewrites alone
+    TestTables.assertSameRows(baseline, run(fig1Ir))
     TestTables.withRules(Raven.rules(inlineMaxNodes = 0)) {
-      TestTables.assertSameRows(baseline, run(optimized))
+      TestTables.assertSameRows(baseline, run(fig1Ir))
     }
-    TestTables.assertSameRows(baseline, run(CrossOptimizer.NNTranslation(optimized)), eps = 1e-4)
+    TestTables.assertSameRows(baseline, run(CrossOptimizer.NNTranslation(fig1Ir)), eps = 1e-4)
   }
 
   test("pregnant=0 variant (join eliminated) returns identical results") {
-    val sql = fig0Sql.replace("> 7", "> 3")
-    val baseline = baselineOf(sql)
+    val ir = StaticAnalyzer.analyzeSql(fig0Sql.replace("> 7", "> 3"), catalog, store).ir
+    val baseline = run(ir, TestTables.parquetReference)
     assert(baseline.count() > 0)
-    withIntegrity {
-      TestTables.assertSameRows(baseline, run(CrossOptimizer.optimize(StaticAnalyzer.analyzeSql(sql, catalog, store).ir, catalog)))
+    TestTables.withIntegrity() {
+      val df = run(ir, TestTables.parquetOptimized)
+      assert(joinsIn(df.queryExecution.optimizedPlan) == 0)
+      TestTables.assertSameRows(baseline, df)
     }
   }
 
   test("fully-inlined plan validates against the DuckDB oracle") {
-    val df = run(CrossOptimizer.optimize(fig1Ir, catalog))
+    val df = run(fig1Ir)
     assert(predictsIn(df.queryExecution.optimizedPlan).isEmpty, "the model must be inlined")
     // the reference: the unoptimized query, with the original model as CASE
     val sqlRef = RuntimeCodeGenerator.toSql(fig1Ir)
@@ -200,6 +203,6 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
     assert(!derived.inputCols.contains("dest"))
     assert(derived.pipeline.numFeatures < TestModels.flightLrPipeline.pipeline.numFeatures)
     // semantics preserved
-    TestTables.assertSameRows(baselineOf(sql), run(CrossOptimizer.optimize(ir, catalog)), eps = 1e-6)
+    TestTables.assertSameRows(baselineOf(sql), run(ir), eps = 1e-6)
   }
 }

@@ -5,6 +5,7 @@ import org.apache.spark.sql.catalyst.plans.logical.{Join, LogicalPlan}
 import org.scalatest.BeforeAndAfterEach
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec, TestModels, TestTables}
+import repro.core.ir.{ForeignKey, SchemaCatalog}
 import repro.data.HospitalData
 import repro.ml._
 
@@ -161,45 +162,99 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
     }
   }
 
+  /** A linear model over `age` only: a query scoring it needs no column of the joined tables. */
+  private lazy val ageModel: String = {
+    Raven.deploy(ModelPipeline("age_model",
+      FeaturePipeline(Seq("age"), Nil), None, LinearModel(Array(0.1), 0.0, logistic = false)))
+    "raven_predict('age_model', p.age)"
+  }
+
+  /** `patient_info` joined with `table` on `patient_id`, scored by [[ageModel]]. */
+  private def joinedWith(table: String): String =
+    s"SELECT p.patient_id AS patient_id, $ageModel AS s FROM patient_info p JOIN $table t ON p.patient_id = t.patient_id"
+
+  /** The Fig. 1 query over the three tables, scored by the hand tree, under `where`. */
+  private def fig1(where: String): String =
+    s"""SELECT p.patient_id AS patient_id, $ravenPredictJoined AS score
+       |FROM patient_info p
+       |JOIN blood_tests b ON p.patient_id = b.patient_id
+       |JOIN prenatal_tests t ON p.patient_id = t.patient_id
+       |WHERE $where AND $ravenPredictJoined > 3""".stripMargin
+
+  /** The joins left in the optimized plan of `sql` on the parquet tables. */
+  private def joinsLeft(sql: String): Int =
+    TestTables.parquetOptimized.sql(sql).queryExecution.optimizedPlan.collect { case j: Join => j }.size
+
+  /** [[joinsLeft]], after checking the rows against the session without Raven's rules. */
+  private def joinsLeftWithSameRows(sql: String): Int = {
+    val rows = TestTables.assertSameRows(TestTables.parquetOptimized.sql(sql), TestTables.parquetReference.sql(sql))
+    assert(rows > 0, "the query must return rows to be meaningful")
+    joinsLeft(sql)
+  }
+
   test("join elimination drops a contribution-free FK join") {
-    RavenRules.RavenIntegrity.declareRowPreserving("patient_id", "patient_id")
-    // model over patient_info columns only
-    val agePipe = ModelPipeline("age_model",
-      FeaturePipeline(Seq("age"), Nil), None, LinearModel(Array(0.1), 0.0, logistic = false))
-    Raven.deploy(agePipe)
-    withRules(Seq(RavenRules.JoinElimination)) {
-      val df = spark.sql(
-        """SELECT raven_predict('age_model', p.age) AS s
-          |FROM patient_info p JOIN prenatal_tests t ON p.patient_id = t.patient_id""".stripMargin)
-      val joins = df.queryExecution.optimizedPlan.collect { case j: Join => j }
-      assert(joins.isEmpty, s"join not eliminated:\n${df.queryExecution.optimizedPlan}")
-      assert(df.count() == TestTables.HospitalN)
+    TestTables.withIntegrity() {
+      assert(joinsLeftWithSameRows(joinedWith("prenatal_tests")) == 0)
+      assert(TestTables.parquetOptimized.sql(joinedWith("prenatal_tests")).count() == TestTables.HospitalN)
     }
+  }
+
+  test("join elimination drops both joins of the Fig. 1 query under pregnant = 0") {
+    TestTables.withIntegrity() {
+      assert(joinsLeftWithSameRows(fig1("p.pregnant = 0")) == 0)
+      // the tree pruned for pregnant = 1 reads bp: the prenatal join stays
+      assert(joinsLeftWithSameRows(fig1("p.pregnant = 1")) == 1)
+    }
+  }
+
+  test("join elimination drops both joins of the windowed Fig. 1 query") {
+    // Spark infers patient_id < 1000 on the joined tables too: an implied filter
+    TestTables.withIntegrity() {
+      assert(joinsLeftWithSameRows(fig1("p.patient_id < 1000 AND p.pregnant = 0")) == 0)
+    }
+  }
+
+  test("join elimination keeps excluding a NULL patient_id") {
+    assert(TestTables.parquetReference.sql("SELECT * FROM patient_info WHERE patient_id IS NULL").count() == 1)
+    TestTables.withIntegrity() {
+      assert(joinsLeft(joinedWith("prenatal_tests")) == 0)
+      assert(TestTables.parquetOptimized.sql(joinedWith("prenatal_tests")).where("patient_id IS NULL").count() == 0)
+    }
+  }
+
+  test("join elimination keeps a fan-out join on a declared column name") {
+    TestTables.withIntegrity() {
+      declareByColumnName()
+      assert(joinsLeftWithSameRows(joinedWith("visits")) == 1)
+    }
+  }
+
+  @annotation.nowarn("cat=deprecation")
+  private def declareByColumnName(): Unit = RavenRules.RavenIntegrity.declareRowPreserving("patient_id", "patient_id")
+
+  test("join elimination needs the base relation to be exactly one declared table") {
+    // prenatal_archive is no declared table; under `twice`, prenatal_tests'
+    // files are the plan of two declared tables
+    val cat = TestTables.hospitalCatalog
+    val twice = new SchemaCatalog()
+    cat.tableNames.foreach(t => twice.register(cat.table(t)))
+    twice.register(cat.table("prenatal_tests").copy(name = "prenatal_copy"))
+      .registerFk(ForeignKey("patient_info", "patient_id", "prenatal_tests", "patient_id"))
+      .registerFk(ForeignKey("patient_info", "patient_id", "prenatal_copy", "patient_id"))
+    TestTables.withIntegrity()(assert(joinsLeft(joinedWith("prenatal_archive")) == 1))
+    TestTables.withIntegrity(twice)(assert(joinsLeft(joinedWith("prenatal_tests")) == 1))
   }
 
   test("join elimination does not fire without a declared constraint") {
-    val agePipe = ModelPipeline("age_model2",
-      FeaturePipeline(Seq("age"), Nil), None, LinearModel(Array(0.1), 0.0, logistic = false))
-    Raven.deploy(agePipe)
-    withRules(Seq(RavenRules.JoinElimination)) {
-      val df = spark.sql(
-        """SELECT raven_predict('age_model2', p.age) AS s
-          |FROM patient_info p JOIN prenatal_tests t ON p.patient_id = t.patient_id""".stripMargin)
-      assert(df.queryExecution.optimizedPlan.collect { case j: Join => j }.nonEmpty)
-    }
+    assert(joinsLeft(joinedWith("prenatal_tests")) == 1)
+    val noFk = new SchemaCatalog() // the tables and their keys, no FK
+    TestTables.hospitalCatalog.tableNames.foreach(t => noFk.register(TestTables.hospitalCatalog.table(t)))
+    TestTables.withIntegrity(noFk)(assert(joinsLeft(joinedWith("prenatal_tests")) == 1))
   }
 
   test("join elimination does not fire when the right side is filtered") {
-    RavenRules.RavenIntegrity.declareRowPreserving("patient_id", "patient_id")
-    val agePipe = ModelPipeline("age_model3",
-      FeaturePipeline(Seq("age"), Nil), None, LinearModel(Array(0.1), 0.0, logistic = false))
-    Raven.deploy(agePipe)
-    withRules(Seq(RavenRules.JoinElimination)) {
-      val df = spark.sql(
-        """SELECT raven_predict('age_model3', p.age) AS s
-          |FROM patient_info p JOIN (SELECT * FROM prenatal_tests WHERE bp > 120) t
-          |ON p.patient_id = t.patient_id""".stripMargin)
-      assert(df.queryExecution.optimizedPlan.collect { case j: Join => j }.nonEmpty)
+    TestTables.withIntegrity() {
+      assert(joinsLeftWithSameRows(joinedWith("(SELECT * FROM prenatal_tests WHERE bp > 120)")) == 1)
     }
   }
 
@@ -236,8 +291,7 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
   }
 
   test("full install: Fig-1 query end-to-end with all rules, oracle-checked against inlined SQL") {
-    withRules(Raven.rules(512)) {
-      RavenRules.RavenIntegrity.declareRowPreserving("patient_id", "patient_id")
+    TestTables.withIntegrity()(withRules(Raven.rules(512)) {
       val query =
         s"""SELECT p.patient_id AS patient_id, $handSql AS score
            |FROM patient_info p
@@ -261,7 +315,7 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
         "blood_tests" -> tables("blood_tests"),
         "prenatal_tests" -> tables("prenatal_tests"),
       )
-    }
+    })
   }
 
   /** raven_predict over the 3-table join's columns in pipeline order. */
