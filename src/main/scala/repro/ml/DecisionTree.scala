@@ -120,12 +120,6 @@ object DecisionTree {
     val d = x(0).length
     val features = featureSubset.getOrElse(IndexedSeq.range(0, d))
 
-    def leafValue(idx: Array[Int]): Double = {
-      var s = 0.0
-      idx.foreach(i => s += y(i))
-      s / idx.length
-    }
-
     def impurity(sum: Double, sumSq: Double, n: Int): Double =
       if (n == 0) 0.0
       else if (isClassifier) { val p = sum / n; p * (1 - p) } // Gini/2 for binary

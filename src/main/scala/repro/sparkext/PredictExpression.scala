@@ -3,7 +3,7 @@ package repro.sparkext
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.{Expression, Literal}
 import org.apache.spark.sql.catalyst.expressions.codegen.CodegenFallback
-import org.apache.spark.sql.types.{DataType, DoubleType, StringType}
+import org.apache.spark.sql.types.{DataType, Decimal, DoubleType, StringType}
 import org.apache.spark.unsafe.types.UTF8String
 
 /** The `PREDICT` scalar expression: invokes a deployed model pipeline on
@@ -30,6 +30,7 @@ final case class PredictExpression(modelId: String, children: Seq[Expression])
     while (i < n) {
       vals(i) = children(i).eval(input) match {
         case s: UTF8String => s.toString
+        case d: Decimal    => d.toDouble // as a cast to DOUBLE, which the inlined trees apply
         case other         => other
       }
       i += 1

@@ -17,14 +17,16 @@ import repro.ml.ModelPipeline
   */
 object Raven {
 
-  /** Default inlining budget (tree nodes) for the Catalyst inlining rule. */
+  /** The inlining budget: [[RavenRules.ModelInlining]] inlines a tree or
+    * forest of at most this many nodes.
+    */
   val DefaultInlineMaxNodes = 512
 
   /** Adds the rules unless the session's own `extraOptimizations` already hold them. */
-  def install(spark: SparkSession, inlineMaxNodes: Int = DefaultInlineMaxNodes): Unit = synchronized {
+  def install(spark: SparkSession): Unit = synchronized {
     registerFunction(spark)
     if (!spark.experimental.extraOptimizations.contains(RavenRules.ModelSpecialization))
-      spark.experimental.extraOptimizations ++= rules(inlineMaxNodes)
+      spark.experimental.extraOptimizations ++= rules
   }
 
   /** Install only the runtime (`raven_predict` function), no optimizer
@@ -36,10 +38,10 @@ object Raven {
     * specialized predict may reference one join side only, and read fewer
     * columns.
     */
-  def rules(inlineMaxNodes: Int): Seq[org.apache.spark.sql.catalyst.rules.Rule[
+  val rules: Seq[org.apache.spark.sql.catalyst.rules.Rule[
       org.apache.spark.sql.catalyst.plans.logical.LogicalPlan]] = Seq(
     RavenRules.ModelSpecialization,
-    RavenRules.ModelInlining(inlineMaxNodes),
+    RavenRules.ModelInlining,
     org.apache.spark.sql.catalyst.optimizer.PushDownPredicates,
     org.apache.spark.sql.catalyst.optimizer.ColumnPruning,
     org.apache.spark.sql.catalyst.optimizer.CollapseProject,

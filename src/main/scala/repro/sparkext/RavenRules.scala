@@ -17,146 +17,79 @@ import repro.ml._
   */
 object RavenRules {
 
-  /** A value constraint on an attribute, keyed by `ExprId`. */
-  sealed trait AttrConstraint
-  final case class NumC(c: FeatureConstraint) extends AttrConstraint
-  final case class CatC(value: String) extends AttrConstraint
-
-  type Constraints = Map[ExprId, AttrConstraint]
-
   /** Predicate-based model pruning and model-projection pushdown (§4.1):
     * every predict is replaced by the registry's variant specialized for the
-    * constraints on its inputs, with the arguments the variant no longer
-    * reads dropped (projection is specialization under no constraints).
-    * Catalyst column pruning then narrows the scans, and
-    * [[JoinElimination]] may drop joins.
+    * facts known of its inputs, with the arguments the variant no longer
+    * reads dropped (projection is specialization under no facts). Catalyst
+    * column pruning then narrows the scans, and [[JoinElimination]] may
+    * drop joins.
     *
-    * Constraints are collected bottom-up from Filter conditions and joined
-    * flow-sensitively: a predict's input rows are constrained by filters
-    * below it; and because rows failing a filter above the predict never
-    * reach the query output, sibling conjuncts in the *same* Filter also
-    * license pruning (the Fig. 1 `pregnant = 1 AND score > 7` case).
-    * Outer joins drop the null-padded side's constraints.
+    * The facts are Catalyst's own `constraints`: those of the node's
+    * children, and in a Filter also the filter's conjuncts, because rows
+    * failing a conjunct never reach the query output (the Fig. 1
+    * `pregnant = 1 AND score > 7` case). Spark keeps only the preserved
+    * side's facts across an outer join and only the facts common to every
+    * branch of a union, and carries facts through aliases. With constraint
+    * propagation switched off there are no facts, and predicts are only
+    * projected.
     */
-  object ModelSpecialization extends Rule[LogicalPlan] with PredicateHelper {
+  object ModelSpecialization extends Rule[LogicalPlan] {
 
-    def apply(plan: LogicalPlan): LogicalPlan = rewrite(plan)._1
-
-    private def rewrite(plan: LogicalPlan): (LogicalPlan, Constraints) = plan match {
-      case f @ Filter(cond, child) =>
-        val (newChild, cc) = rewrite(child)
-        val here = extractConstraints(cond)
-        val all = merge(cc, here)
-        // conjuncts in this very filter constrain each other's predicts
-        val newCond = rewriteExpr(cond, all)
-        (f.copy(condition = newCond, child = newChild), all)
-
-      case p @ Project(list, child) =>
-        val (newChild, cc) = rewrite(child)
-        val newList = list.map(ne => rewriteExpr(ne, cc).asInstanceOf[NamedExpression])
-        // propagate constraints through aliases of bare attributes
-        val aliased = newList.collect {
-          case a @ Alias(ar: AttributeReference, _) if cc.contains(ar.exprId) => a.exprId -> cc(ar.exprId)
-        }
-        (p.copy(projectList = newList, child = newChild), cc ++ aliased)
-
-      case j @ Join(left, right, joinType, cond, hint) =>
-        val (nl, cl) = rewrite(left)
-        val (nr, cr) = rewrite(right)
-        val childConstraints = joinType match {
-          case Inner                                      => merge(cl, cr)
-          case org.apache.spark.sql.catalyst.plans.LeftOuter  => cl
-          case org.apache.spark.sql.catalyst.plans.RightOuter => cr
-          case org.apache.spark.sql.catalyst.plans.LeftSemi   => cl
-          case _                                          => Map.empty[ExprId, AttrConstraint]
-        }
-        val newCond = cond.map(rewriteExpr(_, childConstraints))
-        (Join(nl, nr, joinType, newCond, hint), childConstraints)
-
-      case u: Union =>
-        // Branch-specific constraints do not hold for the union output.
-        val rewritten = u.children.map(c => rewrite(c)._1)
-        (u.withNewChildren(rewritten), Map.empty)
-
-      case leaf: LeafNode => (leaf, Map.empty)
-
-      case other =>
-        // Generic unary/n-ary node: rewrite children; pass constraints
-        // through only for single-child nodes that preserve attribute values.
-        val results = other.children.map(rewrite)
-        val newPlan = other.withNewChildren(results.map(_._1))
-        val cc: Constraints = if (results.size == 1) results.head._2 else Map.empty
-        val withExprs = newPlan.mapExpressions(e => rewriteExpr(e, cc))
-        (withExprs, cc)
-    }
-
-    private def merge(a: Constraints, b: Constraints): Constraints =
-      b.foldLeft(a) { case (acc, (id, c)) =>
-        acc.get(id) match {
-          case Some(NumC(x)) =>
-            c match { case NumC(y) => acc + (id -> NumC(x.intersect(y))); case _ => acc }
-          case Some(_: CatC) => acc
-          case None          => acc + (id -> c)
-        }
+    def apply(plan: LogicalPlan): LogicalPlan = plan.transformUp { case node =>
+      lazy val facts = node match {
+        case f: Filter => f.constraints.toSeq
+        case _         => node.children.flatMap(_.constraints)
       }
-
-    /** Rewrite every PredictExpression inside `e` against the constraints. */
-    private def rewriteExpr(e: Expression, cc: Constraints): Expression = e.transformUp {
-      case p: PredictExpression => specialize(p, cc)
+      node.transformExpressionsUp { case p: PredictExpression => specialize(p, facts) }
     }
 
-    private[sparkext] def specialize(p: PredictExpression, cc: Constraints): Expression = {
-      val mp = ModelRegistry.get(p.modelId)
-      val cols = mp.inputCols
-      val preds = p.children.zipWithIndex.flatMap { case (child, i) =>
-        // constraint via the attribute, or via a constant that Spark's own
-        // ConstantPropagation already folded into the argument
-        val fromAttr = attrOf(child).flatMap(a => cc.get(a.exprId))
-        val fromLit = child match {
-          case LitNum(v)                              => Some(NumC(FeatureConstraint.equalTo(v)))
-          case Literal(s: UTF8String, StringType)     => Some(CatC(s.toString))
-          case _                                      => None
-        }
-        fromAttr.orElse(fromLit).map {
-          case NumC(c)  => NumRange(cols(i), c)
-          case CatC(v)  => CatEquals(cols(i), v)
-        }
+    private def specialize(p: PredictExpression, facts: Seq[Expression]): Expression = {
+      val cols = ModelRegistry.get(p.modelId).inputCols
+      val preds = p.children.zip(cols).flatMap {
+        // a constant that Spark's ConstantPropagation folded into the argument
+        case (LitNum(v), col)                          => Seq(NumRange(col, FeatureConstraint.equalTo(v)))
+        case (Literal(s: UTF8String, StringType), col) => Seq(CatEquals(col, s.toString))
+        case (Attr(a), col)                            => facts.flatMap(predicate(a, col))
+        case _                                         => Nil
       }
       val derivedId = ModelRegistry.deriveFor(p.modelId, preds)
       if (derivedId == p.modelId) p
       else PredictExpression(derivedId, ModelRegistry.get(derivedId).inputCols.map(c => p.children(cols.indexOf(c))))
     }
 
-    private def attrOf(e: Expression): Option[AttributeReference] = e match {
-      case a: AttributeReference                         => Some(a)
-      case Cast(a: AttributeReference, dt, _, _) if dt.isInstanceOf[NumericType] => Some(a)
-      case _                                             => None
+    /** `fact` as a predicate on model column `col`, if it compares `a` with a literal. */
+    private def predicate(a: Attribute, col: String)(fact: Expression): Option[ColPredicate] = {
+      def isA(e: Expression) = Attr.unapply(e).exists(_.exprId == a.exprId)
+      fact match {
+        case EqualTo(x, Literal(s: UTF8String, StringType)) if isA(x) => Some(CatEquals(col, s.toString))
+        case EqualTo(Literal(s: UTF8String, StringType), x) if isA(x) => Some(CatEquals(col, s.toString))
+        case c @ BinaryComparison(x, LitNum(v)) if isA(x)             => bound(c, v, attrLeft = true).map(NumRange(col, _))
+        case c @ BinaryComparison(LitNum(v), x) if isA(x)             => bound(c, v, attrLeft = false).map(NumRange(col, _))
+        case _                                                        => None
+      }
     }
 
-    private[sparkext] def extractConstraints(cond: Expression): Constraints = {
-      splitConjunctivePredicates(cond).flatMap {
-        case EqualTo(AttrNum(a), LitNum(v))            => Some(a.exprId -> NumC(FeatureConstraint.equalTo(v)))
-        case EqualTo(LitNum(v), AttrNum(a))            => Some(a.exprId -> NumC(FeatureConstraint.equalTo(v)))
-        case GreaterThan(AttrNum(a), LitNum(v))        => Some(a.exprId -> NumC(FeatureConstraint.greaterThan(v)))
-        case GreaterThan(LitNum(v), AttrNum(a))        => Some(a.exprId -> NumC(FeatureConstraint.lessThan(v)))
-        case GreaterThanOrEqual(AttrNum(a), LitNum(v)) => Some(a.exprId -> NumC(FeatureConstraint.atLeast(v)))
-        case GreaterThanOrEqual(LitNum(v), AttrNum(a)) => Some(a.exprId -> NumC(FeatureConstraint.atMost(v)))
-        case LessThan(AttrNum(a), LitNum(v))           => Some(a.exprId -> NumC(FeatureConstraint.lessThan(v)))
-        case LessThan(LitNum(v), AttrNum(a))           => Some(a.exprId -> NumC(FeatureConstraint.greaterThan(v)))
-        case LessThanOrEqual(AttrNum(a), LitNum(v))    => Some(a.exprId -> NumC(FeatureConstraint.atMost(v)))
-        case LessThanOrEqual(LitNum(v), AttrNum(a))    => Some(a.exprId -> NumC(FeatureConstraint.atLeast(v)))
-        case EqualTo(a: AttributeReference, Literal(s: UTF8String, StringType)) => Some(a.exprId -> CatC(s.toString))
-        case EqualTo(Literal(s: UTF8String, StringType), a: AttributeReference) => Some(a.exprId -> CatC(s.toString))
-        case _ => None
-      }.foldLeft(Map.empty: Constraints) { case (acc, (id, c)) => merge(acc, Map(id -> c)) }
+    private def bound(c: BinaryComparison, v: Double, attrLeft: Boolean): Option[FeatureConstraint] = {
+      import FeatureConstraint._
+      c match {
+        case _: EqualTo            => Some(equalTo(v))
+        case _: GreaterThan        => Some(if (attrLeft) greaterThan(v) else lessThan(v))
+        case _: GreaterThanOrEqual => Some(if (attrLeft) atLeast(v) else atMost(v))
+        case _: LessThan           => Some(if (attrLeft) lessThan(v) else greaterThan(v))
+        case _: LessThanOrEqual    => Some(if (attrLeft) atMost(v) else atLeast(v))
+        case _                     => None
+      }
     }
 
-    private object AttrNum {
-      def unapply(e: Expression): Option[AttributeReference] = e match {
-        case a: AttributeReference if a.dataType.isInstanceOf[NumericType] || a.dataType == BooleanType => Some(a)
-        case Cast(a: AttributeReference, dt, _, _)
-            if dt.isInstanceOf[NumericType] && a.dataType.isInstanceOf[NumericType] => Some(a)
-        case _ => None
+    /** The attribute `e` reads, bare or under a cast that keeps its every
+      * value: an up-cast to any type but FLOAT, which rounds an integer
+      * above 2^24. A narrowing cast such as `CAST(bp AS INT)` hides it.
+      */
+    private object Attr {
+      def unapply(e: Expression): Option[Attribute] = e match {
+        case a: Attribute                                                          => Some(a)
+        case Cast(a: Attribute, to, _, _) if Cast.canUpCast(a.dataType, to) && to != FloatType => Some(a)
+        case _                                                                     => None
       }
     }
 
@@ -182,7 +115,7 @@ object RavenRules {
     * whole-stage codegen compiles with the rest of the stage, removing the
     * model-runtime boundary entirely.
     */
-  final case class ModelInlining(maxNodes: Int) extends Rule[LogicalPlan] {
+  object ModelInlining extends Rule[LogicalPlan] {
     def apply(plan: LogicalPlan): LogicalPlan = plan.transformAllExpressions {
       case p: PredictExpression => maybeInline(p).getOrElse(p)
     }
@@ -191,8 +124,8 @@ object RavenRules {
       val mp = ModelRegistry.get(p.modelId)
       if (mp.scaler.nonEmpty) return None
       mp.model match {
-        case t: DecisionTreeModel if t.nodeCount <= maxNodes => Some(inline(p, mp.pipeline, IndexedSeq(t)))
-        case f: RandomForestModel if f.totalNodes <= maxNodes => Some(inline(p, mp.pipeline, f.trees))
+        case t: DecisionTreeModel if t.nodeCount <= Raven.DefaultInlineMaxNodes => Some(inline(p, mp.pipeline, IndexedSeq(t)))
+        case f: RandomForestModel if f.totalNodes <= Raven.DefaultInlineMaxNodes => Some(inline(p, mp.pipeline, f.trees))
         case _ => None
       }
     }

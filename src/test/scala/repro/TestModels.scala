@@ -25,6 +25,15 @@ object TestModels {
   lazy val hospitalForestPipeline: ModelPipeline =
     ModelPipeline("hospital_rf", HospitalData.pipeline, None, hospitalForest)
 
+  /** The benchmark's forest shape: ten depth-5 trees, over the inlining
+    * budget until pruned for `pregnant = 1`.
+    */
+  lazy val hospitalForest10: RandomForestModel =
+    RandomForest.train(hospitalX, hospitalY, isClassifier = false, numTrees = 10, maxDepth = 5, minSamplesLeaf = 5)
+
+  lazy val hospitalForest10Pipeline: ModelPipeline =
+    ModelPipeline("hospital_rf10", HospitalData.pipeline, None, hospitalForest10)
+
   lazy val hospitalMlp: MlpModel = {
     val scaler = StandardScaler.fit(hospitalX)
     MlpModel.train(hospitalX.map(scaler.transform), hospitalY.map(v => if (v > 7) 1.0 else 0.0),

@@ -10,7 +10,7 @@ import repro.core.analysis.StaticAnalyzer
 import repro.core.codegen.RuntimeCodeGenerator
 import repro.core.ir._
 import repro.ml._
-import repro.sparkext.{InlinedTrees, ModelRegistry, PredictExpression, Raven}
+import repro.sparkext.{InlinedTrees, ModelRegistry, PredictExpression, Raven, RavenRules}
 
 /** The rewrites Catalyst applies to the lowered IR, Spark's relational ones
   * and Raven's model rules alike: the tests assert on Spark's optimized plan
@@ -23,7 +23,11 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
   private def store: String => ModelPipeline = Map(
     "hospital_dt" -> TestModels.handTreePipeline,
     "flight_lr" -> TestModels.flightLrPipeline,
+    "hospital_rf10" -> TestModels.hospitalForest10Pipeline,
   )
+
+  /** Raven's rules without model inlining. */
+  private val noInlining = Raven.rules.filterNot(_ == RavenRules.ModelInlining)
 
   private val fig1Sql =
     """SELECT patient_id, PREDICT(hospital_dt) AS los
@@ -82,7 +86,7 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("predicate-based model pruning shrinks the tree under pregnant=1") {
-    TestTables.withRules(Raven.rules(inlineMaxNodes = 0)) {
+    TestTables.withRules(noInlining) {
       val predicts = predictsIn(sparkPlan(fig1Ir))
       val root = TestModels.handTreePipeline.id
       assert(predicts.nonEmpty && predicts.forall(p => p.modelId != root && ModelRegistry.rootOf(p.modelId) == root))
@@ -92,7 +96,7 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("pruning + projection pushdown drop unused raw columns (pregnant=0 needs no bp)") {
-    TestTables.withRules(Raven.rules(inlineMaxNodes = 0)) {
+    TestTables.withRules(noInlining) {
       val predicts = predictsIn(sparkPlan(StaticAnalyzer.analyzeSql(fig0Sql, catalog, store).ir))
       // pregnant=0 branch of the hand tree uses only age
       assert(predicts.nonEmpty && predicts.forall(p => ModelRegistry.get(p.modelId).inputCols == Seq("age")))
@@ -135,14 +139,16 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
     assert(predictsIn(plan).isEmpty, s"plan:\n$plan")
     // one inlined node of the same variant in place of each predict the plan has without inlining
     val inlined = plan.flatMap(_.expressions.flatMap(_.collect { case e: InlinedTrees => e }))
-    val predicts = TestTables.withRules(Raven.rules(inlineMaxNodes = 0))(predictsIn(sparkPlan(fig1Ir)))
+    val predicts = TestTables.withRules(noInlining)(predictsIn(sparkPlan(fig1Ir)))
     assert(inlined.nonEmpty && inlined.map(_.variantId) == predicts.map(_.modelId), s"plan:\n$plan")
   }
 
   test("model inlining respects the node budget") {
-    TestTables.withRules(Raven.rules(inlineMaxNodes = 2)) {
-      assert(predictsIn(sparkPlan(fig1Ir)).nonEmpty)
-    }
+    val rf10 = fig1Sql.replace("hospital_dt", "hospital_rf10")
+    val unfiltered = rf10.substring(0, rf10.indexOf("WHERE"))
+    assert(predictsIn(sparkPlan(StaticAnalyzer.analyzeSql(unfiltered, catalog, store).ir)).nonEmpty)
+    // pruned for pregnant = 1, the forest fits the budget
+    assert(predictsIn(sparkPlan(StaticAnalyzer.analyzeSql(rf10, catalog, store).ir)).isEmpty)
   }
 
   test("NN translation replaces Predict with an LA operator") {
@@ -162,7 +168,7 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
     val baseline = baselineOf(fig1Sql)
     assert(baseline.count() > 0, "query must select some rows to be meaningful")
     TestTables.assertSameRows(baseline, run(fig1Ir))
-    TestTables.withRules(Raven.rules(inlineMaxNodes = 0)) {
+    TestTables.withRules(noInlining) {
       TestTables.assertSameRows(baseline, run(fig1Ir))
     }
     TestTables.assertSameRows(baseline, run(CrossOptimizer.NNTranslation(fig1Ir)), eps = 1e-4)

@@ -60,13 +60,10 @@ class InlinedTreesSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("the inlined forest compiles as whole-stage code, every method under 8 000 bytes") {
-    // the benchmark's forest shape: above the inlining budget until pruned for pregnant = 1
-    val rf = RandomForest.train(TestModels.hospitalX, TestModels.hospitalY, isClassifier = false,
-      numTrees = 10, maxDepth = 5, minSamplesLeaf = 5)
-    assert(rf.totalNodes > Raven.DefaultInlineMaxNodes)
-    Raven.deploy(ModelPipeline("hospital_rf10", HospitalData.pipeline, None, rf))
+    assert(TestModels.hospitalForest10.totalNodes > Raven.DefaultInlineMaxNodes)
+    Raven.deploy(TestModels.hospitalForest10Pipeline)
     val (optimized, _) = sessions(HospitalData.localJoined(500).toSeq.zipWithIndex.map { case (j, i) => row(i, j) })
-    val predict = Raven.predictSql("hospital_rf10")
+    val predict = Raven.predictSql(TestModels.hospitalForest10Pipeline.id)
     val queries = Seq(
       s"SELECT id, $predict AS score FROM t WHERE pregnant = 1 AND $predict > 7",
       s"SELECT count(*), sum($predict) FROM t WHERE pregnant = 1")

@@ -105,6 +105,51 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
     }
   }
 
+  test("a narrowing cast licenses no pruning; age > 35.5 still prunes") {
+    // 1.0 below bp 140.5, 2.0 from it
+    val bpSplit = DecisionTreeModel(Split(HospitalData.pipeline.numericIndex("bp"), 140.5, Leaf(1.0), Leaf(2.0)),
+      HospitalData.pipeline.numFeatures, isClassifier = false)
+    Raven.deploy(ModelPipeline("bp_split", HospitalData.pipeline, None, bpSplit))
+    val predict = Raven.predictSql("bp_split")
+    // the scores of `sql`, after checking its rows against the session without Raven's rules
+    def scores(sql: String): Set[Double] = {
+      TestTables.assertSameRows(TestTables.optimized.sql(sql), TestTables.reference.sql(sql), eps = 0.0)
+      TestTables.reference.sql(sql).collect().map(_.getDouble(1)).toSet
+    }
+    // CAST(bp AS INT) = 140 holds for bp in [140, 141): the split at 140.5 stays
+    assert(scores(s"SELECT patient_id, $predict AS s FROM patients_all WHERE CAST(bp AS INT) = 140") == Set(1.0, 2.0))
+    // the model reads 140 where bp is in [140.7, 141)
+    val intBp = predict.replace(", bp,", ", CAST(bp AS INT),")
+    assert(intBp != predict)
+    assert(scores(s"SELECT patient_id, $intBp AS s FROM patients_all WHERE bp >= 140.7") == Set(1.0, 2.0))
+    // Spark reads age > 35.5 on the INT column as age > 35
+    val aged = s"SELECT patient_id, $handSql AS s FROM patients_all WHERE pregnant = 1 AND age > 35.5"
+    assert(scores(aged).nonEmpty)
+    withRules(Seq(RavenRules.ModelSpecialization)) {
+      val tree = ModelRegistry.get(predictsIn(spark.sql(aged).queryExecution.optimizedPlan).head.modelId).model
+      assert(tree.asInstanceOf[DecisionTreeModel].nodeCount == 3, s"expected only the bp split, got $tree")
+    }
+  }
+
+  test("a DECIMAL input scores the same per row, inlined and in predictRaw, bit for bit") {
+    val mp = TestModels.hospitalTreePipeline
+    Raven.deploy(mp)
+    val cols = mp.inputCols.map(c => if (c == "bp") "CAST(bp AS DECIMAL(10,3)) AS bp" else c)
+    val view = s"SELECT patient_id, ${cols.mkString(", ")} FROM patients_all"
+    val sql = s"SELECT patient_id, ${Raven.predictSql(mp.id)} AS score FROM ($view)"
+    def bits(df: DataFrame): Map[Long, Long] =
+      df.collect().map(r => r.getLong(0) -> java.lang.Double.doubleToRawLongBits(r.getDouble(1))).toMap
+    val inlined = TestTables.optimized.sql(sql)
+    assert(predictsIn(inlined.queryExecution.optimizedPlan).isEmpty, "not inlined")
+    val perRow = bits(TestTables.reference.sql(sql))
+    val predictRaw = TestTables.reference.sql(view).collect().map { r =>
+      r.getLong(0) -> java.lang.Double.doubleToRawLongBits(mp.predictRaw(r.toSeq.tail.toIndexedSeq))
+    }.toMap
+    assert(perRow.size == TestTables.HospitalN)
+    assert(perRow == bits(inlined))
+    assert(perRow == predictRaw)
+  }
+
   test("no pruning across the nullable side of a left outer join") {
     withRules(Seq(RavenRules.ModelSpecialization)) {
       tables("patient_info").createOrReplaceTempView("pi_keys")
@@ -261,7 +306,7 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
   test("model inlining removes the predict expression and preserves results") {
     val noRules = spark.sql(s"SELECT patient_id, $handSql AS score FROM patients_all").collect()
       .map(r => (r.getLong(0), r.getDouble(1))).sortBy(_._1)
-    withRules(Seq(RavenRules.ModelInlining(512))) {
+    withRules(Seq(RavenRules.ModelInlining)) {
       val df = spark.sql(s"SELECT patient_id, $handSql AS score FROM patients_all")
       assert(predictsIn(df.queryExecution.optimizedPlan).isEmpty, "predict should be inlined")
       val got = df.collect().map(r => (r.getLong(0), r.getDouble(1))).sortBy(_._1)
@@ -270,16 +315,22 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
   }
 
   test("model inlining respects the node budget") {
-    withRules(Seq(RavenRules.ModelInlining(2))) {
-      val df = spark.sql(s"SELECT patient_id, $handSql AS score FROM patients_all")
+    Raven.deploy(TestModels.hospitalForest10Pipeline)
+    val sql = s"SELECT patient_id, ${Raven.predictSql(TestModels.hospitalForest10Pipeline.id)} AS score FROM patients_all"
+    withRules(Seq(RavenRules.ModelInlining)) {
+      val df = spark.sql(sql)
       assert(predictsIn(df.queryExecution.optimizedPlan).nonEmpty)
+    }
+    // pruned for pregnant = 1, the forest fits the budget
+    withRules(Seq(RavenRules.ModelSpecialization, RavenRules.ModelInlining)) {
+      assert(predictsIn(spark.sql(s"$sql WHERE pregnant = 1").queryExecution.optimizedPlan).isEmpty)
     }
   }
 
   test("forest inlining averages the trees") {
     val forest = RandomForestModel(IndexedSeq(TestModels.handTree, TestModels.handTree), isClassifier = false)
     Raven.deploy(ModelPipeline("hand_rf", HospitalData.pipeline, None, forest))
-    withRules(Seq(RavenRules.ModelInlining(512))) {
+    withRules(Seq(RavenRules.ModelInlining)) {
       val df = spark.sql(s"SELECT patient_id, ${Raven.predictSql("hand_rf")} AS score FROM patients_all")
       assert(predictsIn(df.queryExecution.optimizedPlan).isEmpty)
       val got = df.collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
@@ -291,7 +342,7 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
   }
 
   test("full install: Fig-1 query end-to-end with all rules, oracle-checked against inlined SQL") {
-    TestTables.withIntegrity()(withRules(Raven.rules(512)) {
+    TestTables.withIntegrity()(withRules(Raven.rules) {
       val query =
         s"""SELECT p.patient_id AS patient_id, $handSql AS score
            |FROM patient_info p
@@ -345,7 +396,7 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
       plan.collect { case p => p.expressions.flatMap(_.collect { case e: InlinedTrees => e }) }.flatten
     val reference = pregnant(TestTables.reference)
     assert(predictsIn(reference.queryExecution.optimizedPlan).size == 1)
-    withRules(Raven.rules(512)) {
+    withRules(Raven.rules) {
       val df = pregnant(spark)
       val plan = df.queryExecution.optimizedPlan
       val sqlPlan = spark.sql(s"SELECT *, $handSql AS score FROM patients_all WHERE pregnant = 1")
@@ -363,7 +414,7 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
     val id = "redeployed_dt"
     Raven.deploy(TestModels.handTreePipeline.copy(id = id))
     val query = s"SELECT patient_id, ${Raven.predictSql(id)} AS score FROM patients_all WHERE pregnant = 1"
-    withRules(Raven.rules(512)) {
+    withRules(Raven.rules) {
       val before = spark.sql(query).collect().map(_.getDouble(1)).toSet
       assert(before.nonEmpty && before.subsetOf(Set(5.0, 8.0, 10.0)))
       val constant = DecisionTreeModel(Leaf(42.0), HospitalData.pipeline.numFeatures, isClassifier = false)
@@ -374,7 +425,7 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
 
   test("install adds the rules once per session, also after they were reset") {
     val s = spark.newSession()
-    val rules = Raven.rules(Raven.DefaultInlineMaxNodes)
+    val rules = Raven.rules
     Raven.install(s)
     Raven.install(s)
     assert(s.experimental.extraOptimizations == rules)
