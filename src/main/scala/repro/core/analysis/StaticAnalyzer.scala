@@ -1,12 +1,19 @@
 package repro.core.analysis
 
+import org.apache.spark.sql.catalyst.{expressions => cat}
+import org.apache.spark.sql.catalyst.analysis.{UnresolvedAlias, UnresolvedAttribute, UnresolvedFunction, UnresolvedRelation, UnresolvedStar}
+import org.apache.spark.sql.catalyst.parser.{CatalystSqlParser, ParseException}
+import org.apache.spark.sql.catalyst.plans.Inner
+import org.apache.spark.sql.catalyst.plans.logical.{Filter, Join, LogicalPlan, Project}
+import org.apache.spark.sql.types.{NumericType, StringType}
+import org.apache.spark.unsafe.types.UTF8String
 import repro.core.ir._
 import repro.ml.ModelPipeline
 
 /** Raven's Static Analyzer (§3.2): turns an inference query — SQL and/or
   * an imperative pipeline script — into a unified-IR plan.
   */
-object StaticAnalyzer {
+object StaticAnalyzer extends cat.PredicateHelper {
 
   final case class SqlAnalysis(ir: IRNode, elapsedMicros: Long)
 
@@ -17,9 +24,17 @@ object StaticAnalyzer {
 
   /** Analyze an inference SQL query into IR.
     *
-    * Plan construction places relational WHERE conjuncts below the model
-    * invocation and score predicates above it, then projects the select
-    * list — the canonical pre-optimization shape of Fig. 1.
+    * Spark's parser reads the query. The analyzer accepts the Fig. 1 shape
+    * of its unresolved plan: a projection of columns, literals, `*` and
+    * `PREDICT(model_id)` (the model's pipeline names the features), over an
+    * optional conjunction of comparisons of columns and literals or
+    * `PREDICT(model_id) op number`, over a left-deep chain of inner joins of
+    * single-part table names, each on one `a = b`. Qualifiers are dropped;
+    * anything else throws an `IllegalArgumentException` naming the construct.
+    *
+    * Relational WHERE conjuncts go below the model invocation and score
+    * predicates above it, then the select list is projected: the canonical
+    * pre-optimization shape of Fig. 1.
     */
   def analyzeSql(
       sql: String,
@@ -27,55 +42,107 @@ object StaticAnalyzer {
       modelStore: String => ModelPipeline,
   ): SqlAnalysis = {
     val t0 = System.nanoTime()
-    val q = SqlParser.parse(sql)
-
-    // FROM + JOIN chain
-    var plan: IRNode = IRScan(q.fromTable, catalog.table(q.fromTable).columns)
-    q.joins.foreach { j =>
-      val right = IRScan(j.table, catalog.table(j.table).columns)
-      val (lk, rk) =
-        if (plan.outputCols.contains(j.leftKey)) (j.leftKey, j.rightKey)
-        else (j.rightKey, j.leftKey) // ON b.k = a.k order-insensitivity
-      require(plan.outputCols.contains(lk), s"join key '$lk' not found on left side")
-      require(right.outputCols.contains(rk), s"join key '$rk' not found in ${j.table}")
-      plan = IRJoin(plan, right, lk, rk)
+    val parsed =
+      try CatalystSqlParser.parsePlan(sql)
+      catch { case e: ParseException => throw new IllegalArgumentException(e.getMessage, e) }
+    val (selectList, where, from) = parsed match {
+      case Project(list, Filter(cond, child)) => (list, splitConjunctivePredicates(cond), child)
+      case Project(list, child)               => (list, Nil, child)
+      case other                              => unsupported("query", other.simpleString(5))
     }
 
+    // FROM + JOIN chain
+    def scan(p: LogicalPlan): IRScan = p match {
+      case UnresolvedRelation(Seq(t), _, _) => IRScan(t, catalog.table(t).columns)
+      case other                            => unsupported("FROM item", other.simpleString(5))
+    }
+    def joins(p: LogicalPlan): IRNode = p match {
+      case Join(l, r, Inner, Some(cat.EqualTo(a: UnresolvedAttribute, b: UnresolvedAttribute)), _) =>
+        val (left, right) = (joins(l), scan(r))
+        val (lk, rk) =
+          if (left.outputCols.contains(a.nameParts.last)) (a.nameParts.last, b.nameParts.last)
+          else (b.nameParts.last, a.nameParts.last) // ON b.k = a.k order-insensitivity
+        require(left.outputCols.contains(lk), s"join key '$lk' not found on left side")
+        require(right.outputCols.contains(rk), s"join key '$rk' not found in ${right.table}")
+        IRJoin(left, right, lk, rk)
+      case j: Join => unsupported("join", s"${j.joinType} join on ${j.condition.getOrElse("nothing")}")
+      case other   => scan(other)
+    }
+    var plan: IRNode = joins(from)
+
     // Relational predicates below the model, score predicates above.
-    val plainPreds = q.where.collect { case SqlParser.PlainPred(e) => e }
+    val (predictsInWhere, plainPreds) = where.map(comparison).partitionMap {
+      case (op, Predict(id), r) => Left((id, op, operand(r) match {
+        case NumLit(v) => v
+        case _         => unsupported("score predicate", s"PREDICT($id) $op $r (PREDICT compares with a number)")
+      }))
+      case (op, l, r) => Right(Cmp(op, operand(l), operand(r)))
+    }
     ScalarExpr.conjunction(plainPreds).foreach(p => plan = IRFilter(p, plan))
 
-    val predictsInWhere = q.where.collect { case p: SqlParser.PredictPred => p }
-    val predictsInSelect = q.select.collect { case s: SqlParser.SelectPredict => s }
-    val modelIds = (predictsInWhere.map(_.modelId) ++ predictsInSelect.map(_.modelId)).distinct
+    val select = selectList.map {
+      case cat.Alias(e, name)    => (e, Some(name))
+      case UnresolvedAlias(e, _) => (e, None)
+      case e                     => (e, None)
+    }
+    val predictsInSelect = select.collect { case (Predict(id), alias) => (id, alias) }
+    val modelIds = (predictsInWhere.map(_._1) ++ predictsInSelect.map(_._1)).distinct
     require(modelIds.size <= 1, s"at most one model per inference query is supported, got $modelIds")
 
-    val scoreColName = predictsInSelect.headOption.flatMap(_.alias).getOrElse(ScoreCol)
+    val scoreColName = predictsInSelect.headOption.flatMap(_._2).getOrElse(ScoreCol)
     modelIds.headOption.foreach { id =>
       val mp = modelStore(id)
       val missing = mp.inputCols.filterNot(plan.outputCols.contains)
       require(missing.isEmpty, s"model '$id' needs missing columns: ${missing.mkString(",")}")
       plan = IRPredict(scoreColName, mp, plan)
-      predictsInWhere.foreach { p =>
-        plan = IRFilter(Cmp(p.op, ColRef(scoreColName), NumLit(p.value)), plan)
-      }
+      predictsInWhere.foreach { case (_, op, v) => plan = IRFilter(Cmp(op, ColRef(scoreColName), NumLit(v)), plan) }
     }
 
     // SELECT list
-    val hasStar = q.select.contains(SqlParser.SelectStar)
-    if (!hasStar) {
-      val cols = q.select.map {
-        case SqlParser.SelectExpr(e, alias) =>
-          NamedExpr(alias.getOrElse(e match {
-            case ColRef(n) => n
-            case other     => throw new IllegalArgumentException(s"alias required for ${other.toSql}")
-          }), e)
-        case SqlParser.SelectPredict(_, alias) =>
-          NamedExpr(alias.getOrElse(ScoreCol), ColRef(scoreColName))
-        case SqlParser.SelectStar => throw new IllegalStateException("unreachable")
-      }
-      plan = IRProject(cols, plan)
+    if (!select.exists(_._1 == UnresolvedStar(None))) {
+      plan = IRProject(select.map {
+        case (Predict(_), alias) => NamedExpr(alias.getOrElse(ScoreCol), ColRef(scoreColName))
+        case (e, alias) => operand(e) match {
+          case c @ ColRef(n) => NamedExpr(alias.getOrElse(n), c)
+          case other => NamedExpr(alias.getOrElse(throw new IllegalArgumentException(s"alias required for ${other.toSql}")), other)
+        }
+      }, plan)
     }
     SqlAnalysis(plan, (System.nanoTime() - t0) / 1000)
+  }
+
+  private def unsupported(what: String, found: String): Nothing =
+    throw new IllegalArgumentException(s"unsupported $what in an inference query: $found")
+
+  /** `l op r`; Spark parses `<>` as `NOT (l = r)`. */
+  private def comparison(e: cat.Expression): (String, cat.Expression, cat.Expression) = e match {
+    case cat.EqualTo(l, r)            => ("=", l, r)
+    case cat.Not(cat.EqualTo(l, r))   => ("<>", l, r)
+    case cat.LessThan(l, r)           => ("<", l, r)
+    case cat.LessThanOrEqual(l, r)    => ("<=", l, r)
+    case cat.GreaterThan(l, r)        => (">", l, r)
+    case cat.GreaterThanOrEqual(l, r) => (">=", l, r)
+    case other                        => unsupported("WHERE conjunct", s"${other.nodeName} $other")
+  }
+
+  /** A column, qualifier dropped, or a literal. */
+  private def operand(e: cat.Expression): ScalarExpr = e match {
+    case a: UnresolvedAttribute                 => ColRef(a.nameParts.last)
+    case cat.Literal(v, _: NumericType)         => NumLit(v.toString.toDouble)
+    case cat.Literal(s: UTF8String, StringType) => StrLit(s.toString)
+    case other                                  => unsupported("operand", s"${other.nodeName} $other")
+  }
+
+  /** `PREDICT(id)` in any case, `id` an identifier or a string literal. */
+  private object Predict {
+    def unapply(e: cat.Expression): Option[String] = e match {
+      case f: UnresolvedFunction if f.nameParts.size == 1 && f.nameParts.head.equalsIgnoreCase("predict") =>
+        f.arguments match {
+          case Seq(UnresolvedAttribute(Seq(id)))           => Some(id)
+          case Seq(cat.Literal(s: UTF8String, StringType)) => Some(s.toString)
+          case args => unsupported("PREDICT argument", s"${args.mkString(", ")} (one model id expected)")
+        }
+      case _ => None
+    }
   }
 }

@@ -22,8 +22,6 @@ sealed trait ScalarExpr {
     case StrLit(s)       => s"'${s.replace("'", "''")}'"
     case Cmp(op, l, r)   => s"(${l.toSql} $op ${r.toSql})"
     case And(l, r)       => s"(${l.toSql} AND ${r.toSql})"
-    case Or(l, r)        => s"(${l.toSql} OR ${r.toSql})"
-    case Not(e)          => s"(NOT ${e.toSql})"
   }
 }
 final case class ColRef(name: String) extends ScalarExpr
@@ -32,8 +30,6 @@ final case class StrLit(value: String) extends ScalarExpr
 /** op ∈ { =, <>, <, <=, >, >= } */
 final case class Cmp(op: String, left: ScalarExpr, right: ScalarExpr) extends ScalarExpr
 final case class And(left: ScalarExpr, right: ScalarExpr) extends ScalarExpr
-final case class Or(left: ScalarExpr, right: ScalarExpr) extends ScalarExpr
-final case class Not(expr: ScalarExpr) extends ScalarExpr
 
 object ScalarExpr {
 

@@ -1,9 +1,10 @@
 package repro.sparkext
 
 import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.analysis.TypeCheckResult
 import org.apache.spark.sql.catalyst.expressions.{Expression, Literal}
 import org.apache.spark.sql.catalyst.expressions.codegen.CodegenFallback
-import org.apache.spark.sql.types.{DataType, Decimal, DoubleType, StringType}
+import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
 
 /** The `PREDICT` scalar expression: invokes a deployed model pipeline on
@@ -22,6 +23,14 @@ final case class PredictExpression(modelId: String, children: Seq[Expression])
   override def dataType: DataType = DoubleType
   override def nullable: Boolean = false
   override def prettyName: String = "raven_predict"
+
+  /** Only numbers, booleans and strings read alike per row and inlined: a
+    * TIMESTAMP reads as microseconds per row, as seconds cast to DOUBLE.
+    */
+  override def checkInputDataTypes(): TypeCheckResult = children.map(_.dataType).zipWithIndex.collectFirst {
+    case (t, i) if !(t.isInstanceOf[NumericType] || t.isInstanceOf[StringType] || t == BooleanType || t == NullType) =>
+      TypeCheckResult.TypeCheckFailure(s"raven_predict argument ${i + 2} has type ${t.sql}; expected a number, BOOLEAN or STRING")
+  }.getOrElse(TypeCheckResult.TypeCheckSuccess)
 
   override def eval(input: InternalRow): Any = {
     val n = children.size

@@ -63,22 +63,36 @@ object RavenRules {
       fact match {
         case EqualTo(x, Literal(s: UTF8String, StringType)) if isA(x) => Some(CatEquals(col, s.toString))
         case EqualTo(Literal(s: UTF8String, StringType), x) if isA(x) => Some(CatEquals(col, s.toString))
-        case c @ BinaryComparison(x, LitNum(v)) if isA(x)             => bound(c, v, attrLeft = true).map(NumRange(col, _))
-        case c @ BinaryComparison(LitNum(v), x) if isA(x)             => bound(c, v, attrLeft = false).map(NumRange(col, _))
-        case _                                                        => None
+        case c @ BinaryComparison(x, LitNum(v)) if isA(x) => bound(c, v, attrLeft = true, staysStrict(a.dataType)).map(NumRange(col, _))
+        case c @ BinaryComparison(LitNum(v), x) if isA(x) => bound(c, v, attrLeft = false, staysStrict(a.dataType)).map(NumRange(col, _))
+        case _                                            => None
       }
     }
 
-    private def bound(c: BinaryComparison, v: Double, attrLeft: Boolean): Option[FeatureConstraint] = {
+    /** The bound `c` implies on the model's double; strict only if `strict`,
+      * as converting to double is monotone but may round.
+      */
+    private def bound(c: BinaryComparison, v: Double, attrLeft: Boolean, strict: Boolean): Option[FeatureConstraint] = {
       import FeatureConstraint._
+      val (below, above) = if (strict) (lessThan(v), greaterThan(v)) else (atMost(v), atLeast(v))
       c match {
         case _: EqualTo            => Some(equalTo(v))
-        case _: GreaterThan        => Some(if (attrLeft) greaterThan(v) else lessThan(v))
+        case _: GreaterThan        => Some(if (attrLeft) above else below)
         case _: GreaterThanOrEqual => Some(if (attrLeft) atLeast(v) else atMost(v))
-        case _: LessThan           => Some(if (attrLeft) lessThan(v) else greaterThan(v))
+        case _: LessThan           => Some(if (attrLeft) below else above)
         case _: LessThanOrEqual    => Some(if (attrLeft) atMost(v) else atLeast(v))
         case _                     => None
       }
+    }
+
+    /** A strict comparison on `t` stays strict on the doubles: no two values
+      * of `t` convert to one double. A BIGINT above 2^53 or a DECIMAL of over
+      * 15 digits may: `l < 2^53 + 4` holds of 2^53 + 3, read as 2^53 + 4.
+      */
+    private def staysStrict(t: DataType): Boolean = t match {
+      case ByteType | ShortType | IntegerType | FloatType | DoubleType => true
+      case d: DecimalType => d.precision <= 15
+      case _ => false
     }
 
     /** The attribute `e` reads, bare or under a cast that keeps its every

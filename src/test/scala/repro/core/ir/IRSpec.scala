@@ -10,15 +10,12 @@ class IRSpec extends AnyFunSuite {
     assert(Cmp("<", ColRef("a"), NumLit(3.5)).toSql == "(a < 3.5)")
     assert(Cmp("=", ColRef("a"), NumLit(3.0)).toSql == "(a = 3)")
     assert(Cmp("=", ColRef("c"), StrLit("x'y")).toSql == "(c = 'x''y')")
-    assert(And(Cmp(">", ColRef("a"), NumLit(1)), Not(Cmp("=", ColRef("b"), NumLit(2)))).toSql ==
-      "((a > 1) AND (NOT (b = 2)))")
-    assert(Or(Cmp("=", NumLit(1), NumLit(1)), Cmp("<>", ColRef("a"), NumLit(0))).toSql == "((1 = 1) OR (a <> 0))")
+    assert(And(Cmp(">", ColRef("a"), NumLit(1)), Cmp("<>", ColRef("b"), NumLit(2))).toSql == "((a > 1) AND (b <> 2))")
   }
 
   test("conjunction joins predicates with AND") {
-    val cs = Seq(Cmp("=", ColRef("a"), NumLit(1)), Cmp("=", ColRef("b"), NumLit(2)),
-      Or(Cmp("=", ColRef("c"), NumLit(3)), Cmp("=", ColRef("c"), NumLit(4))))
-    assert(ScalarExpr.conjunction(cs).get.toSql == "(((a = 1) AND (b = 2)) AND ((c = 3) OR (c = 4)))")
+    val cs = Seq(Cmp("=", ColRef("a"), NumLit(1)), Cmp("=", ColRef("b"), NumLit(2)), Cmp("=", ColRef("c"), NumLit(3)))
+    assert(ScalarExpr.conjunction(cs).get.toSql == "(((a = 1) AND (b = 2)) AND (c = 3))")
     assert(ScalarExpr.conjunction(Nil).isEmpty)
   }
 

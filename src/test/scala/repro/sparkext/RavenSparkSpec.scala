@@ -1,6 +1,6 @@
 package repro.sparkext
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{AnalysisException, DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.plans.logical.{Join, LogicalPlan}
 import org.scalatest.BeforeAndAfterEach
 import org.scalatest.funsuite.AnyFunSuite
@@ -57,6 +57,36 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
   test("raven_predict validates arity and model id") {
     assertThrows[Exception](spark.sql("SELECT raven_predict('hospital_hand_dt', age) FROM patients_all").collect())
     assertThrows[Exception](spark.sql("SELECT raven_predict('nope') FROM patients_all").collect())
+  }
+
+  /** A one-split tree over the single numeric column `col`: 1.0 below `threshold`, 2.0 from it. */
+  private def oneSplit(id: String, col: String, threshold: Double): ModelPipeline =
+    ModelPipeline(id, FeaturePipeline(Seq(col), Nil), None,
+      DecisionTreeModel(Split(0, threshold, Leaf(1.0), Leaf(2.0)), 1, isClassifier = false))
+
+  test("raven_predict rejects TIMESTAMP and DATE arguments at analysis") {
+    Raven.deploy(oneSplit("one_split", "x", 1e12))
+    for ((arg, tpe) <- Seq("TIMESTAMP'2024-01-01 00:00:00'" -> "TIMESTAMP", "DATE'2024-01-01'" -> "DATE")) {
+      val err = intercept[AnalysisException](spark.sql(s"SELECT raven_predict('one_split', $arg)"))
+      assert(err.getMessage.contains(s"argument 2 has type $tpe"), err.getMessage)
+    }
+  }
+
+  test("a strict bound on a BIGINT above 2^53 prunes as the model reads it") {
+    val big = 1L << 53
+    val dir = java.nio.file.Files.createTempDirectory("raven-bigint")
+    try {
+      val path = dir.resolve("l").toString
+      spark.range(big + 1, big + 4).selectExpr("id AS l").coalesce(1).write.parquet(path)
+      // 2^53 + 3 reads as 2^53 + 4: it scores 2.0, though l < 2^53 + 4
+      val mp = oneSplit("bigint_split", "l", (big + 4).toDouble)
+      Raven.deploy(mp)
+      val sql = s"SELECT l, ${Raven.predictSql(mp.id)} AS s FROM bigint_l WHERE l < ${big + 4}"
+      def rows(s: SparkSession): DataFrame = { s.read.parquet(path).createOrReplaceTempView("bigint_l"); s.sql(sql) }
+      val reference = rows(TestTables.reference)
+      assert(reference.collect().map(_.getDouble(1)).toSet == Set(1.0, 2.0))
+      TestTables.assertSameRows(rows(TestTables.optimized), reference, eps = 0.0)
+    } finally org.apache.spark.network.util.JavaUtils.deleteRecursively(dir.toFile)
   }
 
   test("predicate pruning rule specializes the model below a filter") {
