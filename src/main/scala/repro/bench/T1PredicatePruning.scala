@@ -89,19 +89,18 @@ object T1PredicatePruning {
       val selectivity = matching.length.toDouble / flights.length
 
       val (optimized, _) = mp.optimizeFor(Seq(CatEquals("dest", dest)))
-      val posInBase = optimized.inputCols.map(mp.inputCols.indexOf).toArray
+      val score = optimized.scorerFor(mp.inputCols)
 
       // interleave the two measurements: min-of-pairs is robust against
       // GC/background pauses that would skew back-to-back medians
       var tFull = Double.MaxValue
       var tPruned = Double.MaxValue
-      mp.predictRawBatch(cohort); scoreCompact(optimized, posInBase, cohort) // warmup
+      mp.predictRawBatch(cohort); scoreAll(score, cohort) // warmup
       for (_ <- 1 to 5) {
         tFull = math.min(tFull, timeMillis(warmup = 0, reps = 1)(mp.predictRawBatch(cohort)))
-        tPruned = math.min(tPruned, timeMillis(warmup = 0, reps = 1)(scoreCompact(optimized, posInBase, cohort)))
+        tPruned = math.min(tPruned, timeMillis(warmup = 0, reps = 1)(scoreAll(score, cohort)))
       }
-      def compact(raw: IndexedSeq[Any]): Double = scoreOne(optimized, posInBase, raw)
-      verifyEqual(cohort.take(500), mp.predictRaw, compact, 1e-9)
+      verifyEqual(cohort.take(500), mp.predictRaw, score, 1e-9)
 
       Seq(s"dest=$dest ($selLabel)", pct(selectivity),
         mp.pipeline.numFeatures.toString, optimized.pipeline.numFeatures.toString,
@@ -115,21 +114,13 @@ object T1PredicatePruning {
       rows)
   }
 
-  /** Pruned-pipeline scoring that also skips the dropped raw columns (the
-    * data-side effect of the optimization). A static loop keeps the hot
-    * call site monomorphic across the selectivity sweep.
+  /** Scores `cohort` with a pruned pipeline that also skips the dropped raw
+    * columns (the data-side effect of the optimization).
     */
-  private def scoreOne(optimized: ModelPipeline, posInBase: Array[Int], raw: IndexedSeq[Any]): Double = {
-    val sub = new Array[Any](posInBase.length)
-    var i = 0
-    while (i < posInBase.length) { sub(i) = raw(posInBase(i)); i += 1 }
-    optimized.predictRaw(scala.collection.immutable.ArraySeq.unsafeWrapArray(sub))
-  }
-
-  private def scoreCompact(optimized: ModelPipeline, posInBase: Array[Int], cohort: Array[IndexedSeq[Any]]): Double = {
+  private def scoreAll(score: IndexedSeq[Any] => Double, cohort: Array[IndexedSeq[Any]]): Double = {
     var s = 0.0
     var i = 0
-    while (i < cohort.length) { s += scoreOne(optimized, posInBase, cohort(i)); i += 1 }
+    while (i < cohort.length) { s += score(cohort(i)); i += 1 }
     s
   }
 

@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.bench.BenchUtil._
-import repro.core.opt.ModelClustering.CompactFeaturizer
 import repro.data.FlightData
 
 /** Table 2 — Model-projection pushdown (Fig. 2(a)).
@@ -11,8 +10,9 @@ import repro.data.FlightData
   *  - 80.96% zero weights → ~5.3× faster inference
   *
   * The sparse models are pinned to the paper's exact sparsity levels; the
-  * optimized path projects the zero-weight features out of both the model
-  * and the featurization.
+  * optimized path is the projection the model registry derives
+  * (`optimizeFor(Nil)`), which drops the zero-weight features from both
+  * the model and the featurization.
   */
 object T2ProjectionPushdown {
 
@@ -25,20 +25,19 @@ object T2ProjectionPushdown {
       ("LR 80.96% sparse", BenchModels.flightLrSparse8096),
     ).map { case (label, model) =>
       val mp = BenchModels.flightLrPipeline.copy(id = label, model = model)
-      val (projected, kept) = model.projectNonZero
-      val featurizer = CompactFeaturizer(pipe, kept.toIndexedSeq)
+      val projected = mp.optimizeFor(Nil)._1
+      val score = projected.scorerFor(mp.inputCols)
 
       val tFull = timeMillis()(mp.predictRawBatch(cohort))
       val tProj = timeMillis() {
         var i = 0
-        while (i < cohort.length) { projected.predict(featurizer.transform(cohort(i))); i += 1 }
+        while (i < cohort.length) { score(cohort(i)); i += 1 }
       }
       cohort.take(1000).foreach { r =>
-        val a = mp.predictRaw(r)
-        val b = projected.predict(featurizer.transform(r))
+        val (a, b) = (mp.predictRaw(r), score(r))
         require(math.abs(a - b) < 1e-9, s"projection diverged: $a vs $b")
       }
-      Seq(label, pct(model.sparsity), pipe.numFeatures.toString, kept.size.toString,
+      Seq(label, pct(model.sparsity), pipe.numFeatures.toString, projected.pipeline.numFeatures.toString,
         fmt(tFull), fmt(tProj), fmtX(tFull / tProj))
     }
 

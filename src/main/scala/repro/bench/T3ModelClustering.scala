@@ -22,12 +22,9 @@ object T3ModelClustering {
     val sample = FlightData.localFlights(sampleN, seed = 96).map(FlightData.rawValues)
     val cohort = FlightData.localFlights(scoreRows, seed = 95).map(FlightData.rawValues)
 
-    // Base path uses the same scorer shape (compact featurizer over ALL
-    // features) so the measured delta comes from dropped features only.
-    val allFeatures = (0 until mp.pipeline.numFeatures).toIndexedSeq
-    val baseCluster = ModelClustering.CompiledCluster(
-      mp.model, ModelClustering.CompactFeaturizer(mp.pipeline, allFeatures), Map.empty)
-    val tBase = medianMillis(warmup = 2, reps = 7)(scorePartition(baseCluster, cohort))
+    // Base path uses the same scorer shape (the base pipeline's scorer over
+    // its own columns) so the measured delta comes from dropped features only.
+    val tBase = medianMillis(warmup = 2, reps = 7)(scorePartition(mp.scorerFor(mp.inputCols), cohort))
     val baseRow = Seq("k=1 (no clustering)", "-", mp.pipeline.numFeatures.toString,
       "-", fmt(tBase), "-")
 
@@ -37,7 +34,7 @@ object T3ModelClustering {
       // partitioned); inference scores each partition with its compiled model.
       val partitions = cohort.groupBy(clustered.assign)
       val t = medianMillis(warmup = 2, reps = 7) {
-        partitions.foreach { case (c, rows) => scorePartition(clustered.clusters(c), rows) }
+        partitions.foreach { case (c, rows) => scorePartition(clustered.clusters(c).scoreRaw, rows) }
       }
       // fallback-correctness accounting: how many routed rows violate invariants
       val violations = cohort.count { r =>
@@ -62,15 +59,12 @@ object T3ModelClustering {
     val sample = HospitalData.localJoined(sampleN, seed = 94).map(HospitalData.rawValues)
     val cohort = HospitalData.localJoined(scoreRows, seed = 93).map(HospitalData.rawValues)
 
-    val allFeatures = (0 until mp.pipeline.numFeatures).toIndexedSeq
-    val baseCluster = ModelClustering.CompiledCluster(
-      mp.model, ModelClustering.CompactFeaturizer(mp.pipeline, allFeatures), Map.empty)
-    val tBase = medianMillis(warmup = 2, reps = 7)(scorePartition(baseCluster, cohort))
+    val tBase = medianMillis(warmup = 2, reps = 7)(scorePartition(mp.scorerFor(mp.inputCols), cohort))
 
     val clustered = ModelClustering.compile(mp, sample, k = 8)
     val partitions = cohort.groupBy(clustered.assign)
     val t = medianMillis(warmup = 2, reps = 7) {
-      partitions.foreach { case (c, rows) => scorePartition(clustered.clusters(c), rows) }
+      partitions.foreach { case (c, rows) => scorePartition(clustered.clusters(c).scoreRaw, rows) }
     }
     BenchTable(
       s"T3b: model clustering, hospital DT ($scoreRows rows, k=8) [paper: no benefit]",
@@ -81,10 +75,10 @@ object T3ModelClustering {
       ))
   }
 
-  private def scorePartition(cl: ModelClustering.CompiledCluster, rows: Array[IndexedSeq[Any]]): Double = {
+  private def scorePartition(score: IndexedSeq[Any] => Double, rows: Array[IndexedSeq[Any]]): Double = {
     var s = 0.0
     var i = 0
-    while (i < rows.length) { s += cl.scoreRaw(rows(i)); i += 1 }
+    while (i < rows.length) { s += score(rows(i)); i += 1 }
     s
   }
 

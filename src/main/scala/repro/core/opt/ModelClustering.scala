@@ -17,69 +17,15 @@ import repro.ml._
   */
 object ModelClustering {
 
-  /** Featurizer over a subset of the original feature space: computes only
-    * the kept features, directly from the raw row (numeric passthrough or
-    * per-column category→slot lookup). Cost is O(kept), not O(original).
+  /** One compiled cluster: the base pipeline specialized for the
+    * invariants (original feature index → pinned value) that licensed it
+    * and projected to the features it still reads. `scoreRaw` scores a
+    * row laid out in the base pipeline's `baseCols`.
     */
-  final case class CompactFeaturizer(
-      base: FeaturePipeline,
-      kept: IndexedSeq[Int],
-  ) extends Serializable {
-    // (raw position in inputCols, output slot) for numeric features
-    private val numericSlots: Array[(Int, Int)] = kept.zipWithIndex.collect {
-      case (f, out) if f < base.numericCols.size => (f, out)
-    }.toArray
-    // per categorical column: raw position → (category value → output slot)
-    private val catSlots: Array[(Int, Map[String, Int])] = {
-      val byCol = scala.collection.mutable.LinkedHashMap[String, scala.collection.mutable.Map[String, Int]]()
-      kept.zipWithIndex.foreach { case (f, out) =>
-        if (f >= base.numericCols.size) {
-          val col = base.sourceColumn(f)
-          val (off, enc) = base.encoderBlock(col)
-          byCol.getOrElseUpdate(col, scala.collection.mutable.Map())(enc.categories(f - off)) = out
-        }
-      }
-      byCol.map { case (col, m) => (base.inputCols.indexOf(col), m.toMap) }.toArray
-    }
+  final case class CompiledCluster(pipeline: ModelPipeline, invariants: Map[Int, Double], baseCols: Seq[String]) {
+    def numFeatures: Int = pipeline.pipeline.numFeatures
 
-    def numFeatures: Int = kept.size
-
-    def transform(raw: IndexedSeq[Any]): Array[Double] = {
-      val out = new Array[Double](kept.size)
-      var i = 0
-      while (i < numericSlots.length) {
-        val (rawIdx, slot) = numericSlots(i)
-        out(slot) = raw(rawIdx) match {
-          case d: Double => d; case n: Number => n.doubleValue
-          case b: Boolean => if (b) 1.0 else 0.0
-          case s: String => s.toDouble
-          case null => 0.0
-          case other => throw new IllegalArgumentException(s"non-numeric $other")
-        }
-        i += 1
-      }
-      i = 0
-      while (i < catSlots.length) {
-        val (rawIdx, m) = catSlots(i)
-        m.get(String.valueOf(raw(rawIdx))).foreach(slot => out(slot) = 1.0)
-        i += 1
-      }
-      out
-    }
-  }
-
-  /** One compiled cluster: the specialized model over its compact feature
-    * space, the compact featurizer, and the invariants (original feature
-    * index → pinned value) that licensed the specialization.
-    */
-  final case class CompiledCluster(
-      model: Model,
-      featurizer: CompactFeaturizer,
-      invariants: Map[Int, Double],
-  ) {
-    def numFeatures: Int = featurizer.numFeatures
-
-    def scoreRaw(raw: IndexedSeq[Any]): Double = model.predict(featurizer.transform(raw))
+    val scoreRaw: IndexedSeq[Any] => Double = pipeline.scorerFor(baseCols)
   }
 
   final case class Clustered(
@@ -144,26 +90,20 @@ object ModelClustering {
 
     val t1 = System.nanoTime()
     val d = base.pipeline.numFeatures
-    val allFeatures = (0 until d).toIndexedSeq
     val byCluster = feats.groupBy(f => km.assign(clusterFeatures.map(f).toArray))
     val clusters = (0 until k).map { c =>
-      byCluster.get(c).filter(_.nonEmpty) match {
-        case None =>
-          CompiledCluster(base.model, CompactFeaturizer(base.pipeline, allFeatures), Map.empty)
-        case Some(members) =>
-          val mins = Array.fill(d)(Double.MaxValue)
-          val maxs = Array.fill(d)(Double.MinValue)
-          members.foreach { f =>
-            var i = 0
-            while (i < d) { if (f(i) < mins(i)) mins(i) = f(i); if (f(i) > maxs(i)) maxs(i) = f(i); i += 1 }
-          }
-          val invariants = (0 until d).collect { case i if mins(i) == maxs(i) => i -> mins(i) }.toMap
-          val constraints = invariants.map { case (i, v) => i -> FeatureConstraint.equalTo(v) }
-          val pruned = ModelPruner.prune(base.model, constraints)
-          val kept = pruned.usedFeatures.toIndexedSeq.sorted
-          val projected = ModelPruner.reindex(pruned, kept, d)
-          CompiledCluster(projected, CompactFeaturizer(base.pipeline, kept), invariants)
+      val invariants = byCluster.get(c).fold(Map.empty[Int, Double]) { members =>
+        val mins = Array.fill(d)(Double.MaxValue)
+        val maxs = Array.fill(d)(Double.MinValue)
+        members.foreach { f =>
+          var i = 0
+          while (i < d) { if (f(i) < mins(i)) mins(i) = f(i); if (f(i) > maxs(i)) maxs(i) = f(i); i += 1 }
+        }
+        (0 until d).collect { case i if mins(i) == maxs(i) => i -> mins(i) }.toMap
       }
+      val pruned = ModelPruner.prune(base.model, invariants.map { case (i, v) => i -> FeatureConstraint.equalTo(v) })
+      val (pipe, projected, _) = ModelPruner.projectPipeline(base.pipeline, pruned)
+      CompiledCluster(base.copy(pipeline = pipe, model = projected), invariants, base.inputCols)
     }
     val compileMillis = (System.nanoTime() - t1) / 1000000
     Clustered(base, km, clusters, clusterFeatures, compileMillis, clusterMillis)

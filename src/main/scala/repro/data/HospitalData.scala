@@ -68,12 +68,7 @@ object HospitalData {
 
   /** Feature matrix + label vector in [[pipeline]] layout. */
   def featurized(rows: Array[Joined]): (Array[Array[Double]], Array[Double]) = {
-    val x = rows.map { j =>
-      pipeline.transform(IndexedSeq(
-        j.age, j.pregnant, j.num_prev_admissions, j.hematocrit, j.neutrophils,
-        j.glucose, j.bmi, j.pulse, j.bp, j.fetal_hr, j.gestation_weeks, j.gender))
-    }
-    (x, rows.map(_.lengthofstay))
+    (rows.map(j => pipeline.transform(rawValues(j))), rows.map(_.lengthofstay))
   }
 
   /** Raw values of one joined row in [[pipeline]] input order. */

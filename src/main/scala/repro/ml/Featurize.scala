@@ -36,9 +36,13 @@ final case class FeaturePipeline(
 ) extends Serializable {
 
   /** Raw input columns in feed order: numerics first, then categoricals. */
-  def inputCols: Seq[String] = numericCols ++ encoders.map(_.inputCol)
+  val inputCols: Seq[String] = numericCols ++ encoders.map(_.inputCol)
 
-  def numFeatures: Int = numericCols.size + encoders.map(_.width).sum
+  val numFeatures: Int = numericCols.size + encoders.map(_.width).sum
+
+  // the layout as the per-row loops below read it
+  private val numCount = numericCols.size
+  private val encs = encoders.toArray
 
   /** Human-readable name per feature index: `age`, `dest=JFK`, ... */
   lazy val featureNames: IndexedSeq[String] =
@@ -63,20 +67,6 @@ final case class FeaturePipeline(
 
   def isCategorical(col: String): Boolean = encoders.exists(_.inputCol == col)
 
-  /** The raw input column that produces feature index `f`. */
-  def sourceColumn(f: Int): String = {
-    require(f >= 0 && f < numFeatures, s"feature index $f out of range")
-    if (f < numericCols.size) numericCols(f)
-    else {
-      var off = numericCols.size
-      encoders.foreach { e =>
-        if (f < off + e.width) return e.inputCol
-        off += e.width
-      }
-      throw new IllegalStateException("unreachable")
-    }
-  }
-
   /** Featurize one raw row given in [[inputCols]] order (numerics as
     * numbers, categoricals as strings).
     */
@@ -84,13 +74,12 @@ final case class FeaturePipeline(
     require(raw.size == inputCols.size, s"expected ${inputCols.size} values, got ${raw.size}")
     val out = new Array[Double](numFeatures)
     var i = 0
-    while (i < numericCols.size) { out(i) = toDouble(raw(i)); i += 1 }
-    var off = numericCols.size
+    while (i < numCount) { out(i) = toDouble(raw(i)); i += 1 }
+    var off = numCount
     var e = 0
-    while (e < encoders.size) {
-      val enc = encoders(e)
-      enc.encode(String.valueOf(raw(numericCols.size + e)), out, off)
-      off += enc.width
+    while (e < encs.length) {
+      encs(e).encode(String.valueOf(raw(numCount + e)), out, off)
+      off += encs(e).width
       e += 1
     }
     out
@@ -103,20 +92,31 @@ final case class FeaturePipeline(
   def toGraphFeeds(raw: IndexedSeq[Any]): Array[Double] = {
     val out = new Array[Double](inputCols.size)
     var i = 0
-    while (i < numericCols.size) { out(i) = toDouble(raw(i)); i += 1 }
+    while (i < numCount) { out(i) = toDouble(raw(i)); i += 1 }
     var e = 0
-    while (e < encoders.size) {
-      out(numericCols.size + e) = encoders(e).indexOf(String.valueOf(raw(numericCols.size + e))).toDouble
+    while (e < encs.length) {
+      out(numCount + e) = encs(e).indexOf(String.valueOf(raw(numCount + e))).toDouble
       e += 1
     }
     out
   }
 
-  /** Restrict the pipeline to a subset of raw input columns (model-projection
-    * pushdown: drop columns whose features were all pruned).
+  /** Restrict the pipeline to the feature indices in `keep`, in their
+    * order (model-projection pushdown, §4.1): a numeric column stays if its
+    * feature is kept, and an encoder keeps only its kept categories and
+    * goes if it keeps none. A value of a dropped category then encodes as
+    * an unseen one: all zeros in the encoder's block.
     */
-  def project(keepCols: Set[String]): FeaturePipeline =
-    FeaturePipeline(numericCols.filter(keepCols), encoders.filter(e => keepCols.contains(e.inputCol)))
+  def project(keep: Set[Int]): FeaturePipeline = {
+    require(keep.forall(f => f >= 0 && f < numFeatures), s"feature indices out of range: ${keep.toSeq.sorted}")
+    var off = numCount
+    val kept = encoders.map { e =>
+      val cats = e.categories.indices.filter(i => keep(off + i)).map(e.categories)
+      off += e.width
+      e.copy(categories = cats)
+    }
+    FeaturePipeline(numericCols.indices.filter(keep).map(numericCols), kept.filter(_.width > 0))
+  }
 
   private def toDouble(v: Any): Double = v match {
     case null       => 0.0

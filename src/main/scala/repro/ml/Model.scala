@@ -28,11 +28,14 @@ final case class LinearModel(
 
   def numFeatures: Int = weights.length
 
+  /** A zero weight reads nothing: a NaN or infinite value of its feature
+    * leaves the score as it is, as when projection has dropped the feature.
+    */
   def predict(x: Array[Double]): Double = {
     require(x.length == weights.length, s"expected ${weights.length} features, got ${x.length}")
     var s = intercept
     var i = 0
-    while (i < weights.length) { s += weights(i) * x(i); i += 1 }
+    while (i < weights.length) { if (weights(i) != 0.0) s += weights(i) * x(i); i += 1 }
     if (logistic) 1.0 / (1.0 + math.exp(-s)) else s
   }
 
@@ -56,14 +59,6 @@ final case class LinearModel(
       i += 1
     }
     copy(weights = w)
-  }
-
-  /** Drop zero-weight features; returns the compact model and the kept
-    * feature indices (model-projection pushdown, §4.1).
-    */
-  def projectNonZero: (LinearModel, Seq[Int]) = {
-    val kept = weights.indices.filter(weights(_) != 0.0)
-    (copy(weights = kept.map(weights).toArray), kept)
   }
 }
 

@@ -78,38 +78,26 @@ object ModelPruner {
     out.toMap
   }
 
-  /** Model-projection pushdown at the pipeline level: after pruning, drop
-    * raw input columns none of whose features are used by the model.
+  /** Model-projection pushdown (§4.1): after pruning, drop from the
+    * pipeline every feature the model does not read, numeric features and
+    * single one-hot categories alike.
     *
-    * Returns the projected pipeline, the rewritten model over the compact
-    * feature space, and the dropped raw columns (which the relational
-    * optimizer can then prune from scans and may use to eliminate joins).
+    * Returns the projected pipeline, the model rewritten over it, and the
+    * raw columns that lost every feature (which Catalyst can then prune
+    * from scans, and which may let joins be eliminated).
     */
   def projectPipeline(pipeline: FeaturePipeline, model: Model): (FeaturePipeline, Model, Seq[String]) = {
-    val used = model.usedFeatures
-    val keepCols = pipeline.inputCols.filter { col =>
-      val indices = featureIndicesOf(pipeline, col)
-      indices.exists(used)
-    }.toSet
-    val dropped = pipeline.inputCols.filterNot(keepCols)
-    if (dropped.isEmpty) return (pipeline, model, Nil)
-
-    val newPipeline = pipeline.project(keepCols)
-    val keptFeatureIdx: IndexedSeq[Int] =
-      newPipeline.featureNames.map(n => pipeline.featureNames.indexOf(n))
-    require(keptFeatureIdx.forall(_ >= 0), "projection lost a feature name")
-
-    val newModel = reindex(model, keptFeatureIdx, pipeline.numFeatures)
-    (newPipeline, newModel, dropped)
+    val kept = model.usedFeatures.toIndexedSeq.sorted
+    if (kept.size == pipeline.numFeatures) return (pipeline, model, Nil)
+    val projected = pipeline.project(kept.toSet)
+    (projected, reindex(model, kept, pipeline.numFeatures), pipeline.inputCols.filterNot(projected.inputCols.contains))
   }
 
-  /** Feature indices fed by one raw column. */
-  def featureIndicesOf(pipeline: FeaturePipeline, col: String): Seq[Int] =
-    if (pipeline.numericCols.contains(col)) Seq(pipeline.numericIndex(col))
-    else {
-      val (off, enc) = pipeline.encoderBlock(col)
-      off until (off + enc.width)
-    }
+  /** Whether [[reindex]] can rewrite `model`: a tree, a forest or a linear model. */
+  def reindexable(model: Model): Boolean = model match {
+    case _: DecisionTreeModel | _: RandomForestModel | _: LinearModel => true
+    case _                                                            => false
+  }
 
   /** Rewrite a model to read features from a compacted vector where old
     * index `kept(i)` now lives at `i`. Features outside `kept` must be

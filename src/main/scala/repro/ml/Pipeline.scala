@@ -31,6 +31,22 @@ final case class ModelPipeline(
     out
   }
 
+  /** Scorer of rows laid out in `cols`, such as the [[inputCols]] of the
+    * pipeline this one was projected from: each row is scored on the
+    * values of this pipeline's columns, whose positions in `cols` are
+    * looked up once.
+    */
+  def scorerFor(cols: Seq[String]): IndexedSeq[Any] => Double = {
+    val pos = inputCols.map(cols.indexOf).toArray
+    require(!pos.contains(-1), s"'$id' reads ${inputCols.filterNot(cols.contains).mkString(", ")}, not in ${cols.mkString(", ")}")
+    raw => {
+      val sub = new Array[Any](pos.length)
+      var i = 0
+      while (i < pos.length) { sub(i) = raw(pos(i)); i += 1 }
+      predictRaw(scala.collection.immutable.ArraySeq.unsafeWrapArray(sub))
+    }
+  }
+
   /** Apply predicate-based pruning followed by model-projection pushdown.
     * Returns the optimized pipeline and the raw columns it no longer needs.
     */

@@ -2,7 +2,7 @@ package repro.sparkext
 
 import java.nio.file.{Files, Path}
 import scala.collection.mutable
-import repro.ml.{ColPredicate, ModelPipeline}
+import repro.ml.{ColPredicate, ModelPipeline, ModelPruner}
 
 /** In-DB model store (§2): deployed model pipelines live inside the engine
   * and are invoked by id from SQL. Also holds the variants the optimizer
@@ -48,12 +48,13 @@ object ModelRegistry {
     * returns the derived model's id. A variant is derived from the root
     * model under its own predicates plus the new ones, and memoized by that
     * set, so specializing a variant again for the same predicates is a
-    * no-op. Pipelines with a scaler are returned unchanged.
+    * no-op. A pipeline with a scaler, or whose model [[ModelPruner.reindex]]
+    * cannot rewrite (an MLP), is returned unchanged.
     */
   def deriveFor(baseId: String, predicates: Seq[ColPredicate]): String = synchronized {
     val (root, basePreds) = lineage.getOrElse(baseId, (baseId, Set.empty[ColPredicate]))
     val rootMp = get(root)
-    if (rootMp.scaler.nonEmpty) baseId
+    if (rootMp.scaler.nonEmpty || !ModelPruner.reindexable(rootMp.model)) baseId
     else {
       val preds = basePreds ++ predicates
       val id = derivations.getOrElseUpdate((root, preds), {

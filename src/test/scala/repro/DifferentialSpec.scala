@@ -18,12 +18,15 @@ class DifferentialSpec extends AnyFunSuite with SparkSpec {
   import DifferentialSpec._
 
   private val hospitalFilters = Seq("pregnant = 1", "pregnant = 0", "age > 35", "gender = 'F'")
+  private val flightFilters = Seq("month = 1", "month = 2", "dep_hour > 17", "dest = 'AP00'")
   private lazy val families = Seq(
     Family("hand_dt", TestModels.handTreePipeline, "patients_all", "patient_id", hospitalFilters),
     Family("hospital_rf", TestModels.hospitalForestPipeline, "patients_all", "patient_id", hospitalFilters),
     Family("hospital_mlp", TestModels.hospitalMlpPipeline, "patients_all", "patient_id", hospitalFilters),
-    Family("flight_lr", TestModels.flightLrPipeline, "flights", "flight_id",
-      Seq("month = 1", "month = 2", "dep_hour > 17", "dest = 'AP00'")),
+    Family("flight_lr", TestModels.flightLrPipeline, "flights", "flight_id", flightFilters),
+    // the T2 model: its variants drop single one-hot categories
+    Family("flight_lr_sparse", TestModels.flightLrPipeline.copy(model = TestModels.flightLr.sparsify(0.8096)),
+      "flights", "flight_id", flightFilters),
   )
 
   private def where(filter: Option[String]): String = filter.fold("")(w => s" WHERE $w")

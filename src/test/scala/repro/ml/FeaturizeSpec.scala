@@ -41,11 +41,12 @@ class FeaturizeSpec extends AnyFunSuite {
   }
 
   test("sourceColumn maps feature indices back to raw columns") {
-    assert(pipe.sourceColumn(0) == "age")
-    assert(pipe.sourceColumn(2) == "gender")
-    assert(pipe.sourceColumn(3) == "gender")
-    assert(pipe.sourceColumn(6) == "city")
-    assertThrows[IllegalArgumentException](pipe.sourceColumn(7))
+    def source(f: Int): Seq[String] = pipe.project(Set(f)).inputCols
+    assert(source(0) == Seq("age"))
+    assert(source(2) == Seq("gender"))
+    assert(source(3) == Seq("gender"))
+    assert(source(6) == Seq("city"))
+    assertThrows[IllegalArgumentException](source(7))
   }
 
   test("toGraphFeeds gives numeric passthrough + vocab indices") {
@@ -56,10 +57,18 @@ class FeaturizeSpec extends AnyFunSuite {
   }
 
   test("project keeps a column subset") {
-    val p2 = pipe.project(Set("age", "city"))
+    val p2 = pipe.project(Set(0, 4, 5, 6))
     assert(p2.numericCols == Seq("age"))
     assert(p2.encoders.map(_.inputCol) == Seq("city"))
     assert(p2.numFeatures == 4)
+  }
+
+  test("project keeps single categories; a dropped one encodes as unseen") {
+    val p2 = pipe.project(Set(1, 3, 5))
+    assert(p2.inputCols == Seq("bp", "gender", "city"))
+    assert(p2.featureNames == IndexedSeq("bp", "gender=M", "city=SF"))
+    assert(p2.transform(IndexedSeq(120.0, "F", "SF")).toSeq == Seq(120.0, 0.0, 1.0))
+    assert(p2.transform(IndexedSeq(120.0, "M", "NY")).toSeq == Seq(120.0, 1.0, 0.0))
   }
 
   test("boolean and numeric conversions") {

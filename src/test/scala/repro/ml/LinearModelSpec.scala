@@ -45,13 +45,19 @@ class LinearModelSpec extends AnyFunSuite {
 
   test("projectNonZero drops zero weights and preserves predictions") {
     val m = LinearModel(Array(1.0, 0.0, -2.0, 0.0), 0.5, logistic = true)
-    val (proj, kept) = m.projectNonZero
-    assert(kept == Seq(0, 2))
+    val (pipe, proj, dropped) = ModelPruner.projectPipeline(FeaturePipeline(Seq("a", "b", "c", "d"), Nil), m)
+    assert(pipe.inputCols == Seq("a", "c") && dropped == Seq("b", "d"))
     assert(proj.numFeatures == 2)
     for (_ <- 1 to 20) {
       val x = Array.fill(4)(rnd.nextGaussian())
       assert(math.abs(m.predict(x) - proj.predict(Array(x(0), x(2)))) < 1e-12)
     }
+  }
+
+  test("a zero weight reads nothing, not even a NaN or infinite feature") {
+    val m = LinearModel(Array(1.0, 0.0), 0.5, logistic = false)
+    for (v <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity))
+      assert(m.predict(Array(2.0, v)) == 2.5)
   }
 
   test("usedFeatures excludes zero weights") {

@@ -143,7 +143,9 @@ class ModelPrunerSpec extends AnyFunSuite {
     val (newPipe, newModel, dropped) = ModelPruner.projectPipeline(pipe, m)
     assert(dropped == Seq("b"))
     assert(newPipe.inputCols == Seq("a", "c"))
-    assert(newModel.numFeatures == 3)
+    // category x of c is never read: only c=y stays
+    assert(newPipe.featureNames == IndexedSeq("a", "c=y"))
+    assert(newModel.numFeatures == 2)
   }
 
   test("reindex rejects models using dropped features") {

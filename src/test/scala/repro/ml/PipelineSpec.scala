@@ -2,7 +2,6 @@ package repro.ml
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestModels
-import repro.core.opt.ModelClustering.CompactFeaturizer
 import repro.data.HospitalData
 
 class PipelineSpec extends AnyFunSuite {
@@ -34,12 +33,17 @@ class PipelineSpec extends AnyFunSuite {
     assert(mp.predictRawBatch(rows).toSeq == rows.map(mp.predictRaw))
   }
 
+  /** `raw`, laid out in `pipe.inputCols`, restricted to the columns of `projected`. */
+  private def restrict(pipe: FeaturePipeline, projected: FeaturePipeline, raw: IndexedSeq[Any]): IndexedSeq[Any] =
+    projected.inputCols.map(c => raw(pipe.inputCols.indexOf(c))).toIndexedSeq
+
   test("CompactFeaturizer over all features matches the full pipeline") {
     val pipe = HospitalData.pipeline
-    val cf = CompactFeaturizer(pipe, (0 until pipe.numFeatures).toIndexedSeq)
+    val all = pipe.project((0 until pipe.numFeatures).toSet)
+    assert(all == pipe)
     TestModels.hospitalRows.take(50).foreach { j =>
       val raw = HospitalData.rawValues(j)
-      assert(cf.transform(raw).toSeq == pipe.transform(raw).toSeq)
+      assert(all.transform(restrict(pipe, all, raw)).toSeq == pipe.transform(raw).toSeq)
     }
   }
 
@@ -48,18 +52,31 @@ class PipelineSpec extends AnyFunSuite {
     val ageIdx = pipe.numericIndex("age")
     val (gOff, gEnc) = pipe.encoderBlock("gender")
     val fIdx = gOff + gEnc.indexOf("F")
-    val cf = CompactFeaturizer(pipe, IndexedSeq(ageIdx, fIdx))
+    val sub = pipe.project(Set(ageIdx, fIdx))
+    assert(sub.inputCols == Seq("age", "gender"))
     TestModels.hospitalRows.take(50).foreach { j =>
       val raw = HospitalData.rawValues(j)
       val full = pipe.transform(raw)
-      assert(cf.transform(raw).toSeq == Seq(full(ageIdx), full(fIdx)))
+      assert(sub.transform(restrict(pipe, sub, raw)).toSeq == Seq(full(ageIdx), full(fIdx)))
     }
   }
 
   test("CompactFeaturizer cost model: output width equals kept size") {
     val pipe = repro.data.FlightData.pipeline
-    val cf = CompactFeaturizer(pipe, IndexedSeq(0, 1, 5, 20, 130))
-    assert(cf.numFeatures == 5)
-    assert(cf.transform(repro.data.FlightData.rawValues(TestModels.flightRows(0))).length == 5)
+    val sub = pipe.project(Set(0, 1, 5, 20, 130))
+    assert(sub.numFeatures == 5)
+    val raw = repro.data.FlightData.rawValues(TestModels.flightRows(0))
+    assert(sub.transform(restrict(pipe, sub, raw)).length == 5)
+  }
+
+  test("scorerFor scores rows in the layout of the pipeline a variant was projected from") {
+    val mp = TestModels.flightLrPipeline.copy(model = TestModels.flightLr.sparsify(0.8096))
+    val projected = mp.optimizeFor(Nil)._1
+    assert(projected.pipeline.numFeatures < mp.pipeline.numFeatures)
+    val score = projected.scorerFor(mp.inputCols)
+    TestModels.flightRows.take(200).map(repro.data.FlightData.rawValues).foreach { raw =>
+      assert(score(raw) == mp.predictRaw(raw))
+    }
+    assertThrows[IllegalArgumentException](mp.scorerFor(mp.inputCols.filterNot(_ == "dest")))
   }
 }

@@ -132,4 +132,34 @@ class InlinedTreesSpec extends AnyFunSuite with SparkSpec {
       }
     }
   }
+
+  test("a tree variant that keeps only gender=F scores bit for bit like its root, per row and inlined") {
+    val pipe = HospitalData.pipeline
+    val (off, enc) = pipe.encoderBlock("gender")
+    // gender=F, then age: the gender=M indicator is never read
+    val root = ModelPipeline("gender_f_tree", pipe, None, DecisionTreeModel(
+      Split(off + enc.indexOf("F"), 0.5, Split(0, 35.0, Leaf(1.0), Leaf(2.0)), Leaf(3.0)),
+      pipe.numFeatures, isClassifier = false))
+    Raven.deploy(root)
+    val variant = ModelRegistry.get(ModelRegistry.deriveFor(root.id, Nil))
+    assert(variant.pipeline == FeaturePipeline(Seq("age"), Seq(OneHotEncoder("gender", IndexedSeq("F")))))
+
+    val base = HospitalData.localJoined(1).head.copy(age = 40)
+    val rows = Seq("F", "M", "X", null).zipWithIndex.map { case (g, i) =>
+      Row.fromSeq(row(i, base).toSeq.updated(1 + numeric.size, g))
+    }
+    def raw(r: Row): IndexedSeq[Any] = root.inputCols.map(c => r.get(schema.fieldIndex(c))).toIndexedSeq
+    def bits(m: Map[Long, Double]): Map[Long, Long] = m.map { case (k, v) => k -> java.lang.Double.doubleToRawLongBits(v) }
+    val want = rows.map(r => r.getLong(0) -> root.predictRaw(raw(r))).toMap
+    assert(want == Map(0L -> 3.0, 1L -> 2.0, 2L -> 2.0, 3L -> 2.0))
+
+    val perRow = variant.scorerFor(root.inputCols)
+    assert(bits(rows.map(r => r.getLong(0) -> perRow(raw(r))).toMap) == bits(want))
+    val (optimized, reference) = sessions(rows)
+    val sql = s"SELECT id, ${Raven.predictSql(root.id)} AS score FROM t"
+    val df = optimized.sql(sql)
+    assert(inlined(df).map(_.variantId) == Seq(variant.id), df.queryExecution.optimizedPlan)
+    assert(bits(scores(df)) == bits(want))
+    assert(bits(scores(reference.sql(sql))) == bits(want))
+  }
 }

@@ -472,4 +472,41 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
     val id3 = ModelRegistry.deriveFor(id1, Seq(NumRange("pregnant", FeatureConstraint.equalTo(1.0))))
     assert(id3 == id1)
   }
+
+  /** Each row's score under `sql`, as raw bits, by the key in the first column (NULL included). */
+  private def scoreBits(df: DataFrame): Map[Any, Long] =
+    df.collect().map(r => r.get(0) -> java.lang.Double.doubleToRawLongBits(r.getDouble(1))).toMap
+
+  test("a scaler-free MLP that never reads a column scores as without Raven's rules, bit for bit") {
+    // num_prev_admissions has an all-zero first-layer row: the MLP never reads it
+    val w1 = Array(Array(0.05, -0.02), Array(1.5, 0.3), Array(0.0, 0.0), Array(-0.4, 0.8), Array(0.2, -0.6))
+    val mlp = MlpModel(Seq(MlpLayer(w1, Array(0.1, -0.1), "relu"), MlpLayer(Array(Array(0.7), Array(-1.1)), Array(0.05), "sigmoid")))
+    val mp = ModelPipeline("mlp_no_scaler", FeaturePipeline(Seq("age", "pregnant", "num_prev_admissions"),
+      Seq(OneHotEncoder("gender", IndexedSeq("F", "M")))), None, mlp)
+    assert(!mlp.usedFeatures.contains(2))
+    Raven.deploy(mp)
+    val sql = s"SELECT patient_id, ${Raven.predictSql(mp.id)} AS s FROM patient_info WHERE pregnant = 1"
+    val reference = scoreBits(TestTables.parquetReference.sql(sql))
+    assert(reference.nonEmpty)
+    assert(scoreBits(TestTables.parquetOptimized.sql(sql)) == reference)
+    assert(ModelRegistry.deriveFor(mp.id, Nil) == mp.id, "an MLP has no variant")
+  }
+
+  test("a NaN or infinite value of a zero-weight feature scores as without Raven's rules") {
+    val dir = java.nio.file.Files.createTempDirectory("raven-nan")
+    try {
+      val path = dir.resolve("t").toString
+      spark.range(4).selectExpr("id", "CAST(id AS DOUBLE) AS a",
+        "CAST(CASE id WHEN 0 THEN 'NaN' WHEN 1 THEN 'Infinity' WHEN 2 THEN '-Infinity' ELSE '1.5' END AS DOUBLE) AS b")
+        .coalesce(1).write.parquet(path)
+      val mp = ModelPipeline("zero_b", FeaturePipeline(Seq("a", "b"), Nil), None,
+        LinearModel(Array(1.0, 0.0), 0.5, logistic = false))
+      Raven.deploy(mp)
+      val sql = s"SELECT id, ${Raven.predictSql(mp.id)} AS s FROM nan_b"
+      def rows(s: SparkSession): Map[Any, Long] = { s.read.parquet(path).createOrReplaceTempView("nan_b"); scoreBits(s.sql(sql)) }
+      val reference = rows(TestTables.reference)
+      assert(reference.values.map(java.lang.Double.longBitsToDouble).toSet == Set(0.5, 1.5, 2.5, 3.5))
+      assert(rows(TestTables.optimized) == reference)
+    } finally org.apache.spark.network.util.JavaUtils.deleteRecursively(dir.toFile)
+  }
 }
