@@ -74,6 +74,9 @@ class T4ModelInliningBench extends AnyFunSuite with SparkSpec {
     // exactly the paper's observation
     val driverSpeedup = t.cell(1, "speedup_vs_sklearn").dropRight(1).toDouble
     assert(driverSpeedup > 1.0, s"staying in-process should already help: $driverSpeedup")
+    // the benchmark's forest shape: inlined beats the per-row PREDICT operator
+    val forestSpeedup = t.cell(7, "speedup_vs_sklearn").dropRight(1).toDouble
+    assert(forestSpeedup > 1.0, s"inlined forest vs its PREDICT: $forestSpeedup")
   }
 }
 

@@ -5,6 +5,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.sum
 import repro.bench.BenchUtil._
 import repro.data.HospitalData
+import repro.ml.RandomForestModel
 import repro.runtime.{CsvData, OutOfProcess}
 import repro.sparkext.{InlinedTrees, ModelRegistry, Raven, RavenRuntime}
 
@@ -24,6 +25,9 @@ import repro.sparkext.{InlinedTrees, ModelRegistry, Raven, RavenRuntime}
   * which inline the tree (pruned by the cohort's predicate) as an
   * [[InlinedTrees]] expression that whole-stage codegen compiles, running
   * scan+score distributed in-engine.
+  *
+  * Two more rows time the benchmark's forest shape, ten depth-5 trees, as
+  * the per-row PREDICT operator and inlined, on the same rows.
   */
 object T4ModelInlining {
 
@@ -63,11 +67,18 @@ object T4ModelInlining {
     df.createOrReplaceGlobalTempView("t4_rows")
     val ravenDf = raven.table("global_temp.t4_rows")
     val ravenCohort = ravenDf.filter("pregnant = 1")
-    def inlinedVariants(d: DataFrame): Seq[String] =
-      RavenRuntime.predictBatch(d, mp.id, "score").queryExecution.optimizedPlan
+    def inlinedVariants(d: DataFrame, id: String = mp.id): Seq[String] =
+      RavenRuntime.predictBatch(d, id, "score").queryExecution.optimizedPlan
         .flatMap(_.expressions.flatMap(_.collect { case e: InlinedTrees => e.variantId }))
     require(inlinedVariants(ravenDf).size == 1, "Raven did not inline the tree")
     require(inlinedVariants(ravenCohort).exists(_.contains('#')), "Raven did not inline a pruned variant on the cohort")
+
+    val rf = BenchModels.hospitalForestPipeline
+    Raven.deploy(rf)
+    require(inlinedVariants(ravenDf, rf.id).size == 1, "Raven did not inline the forest")
+    def predictRf(d: DataFrame): Double = collectSum(RavenRuntime.predictBatch(d, rf.id, "score"))
+    val rfSums = Seq(predictRf(df), predictRf(ravenDf))
+    require(math.abs(rfSums(1) - rfSums(0)) / math.abs(rfSums(0)) < 1e-9, s"forest paths diverged: $rfSums")
 
     // correctness: all paths agree on the checksum
     val sums = Seq(sklearnExternal(df), sklearnDriver(df), predictOp(df), predictOp(ravenDf))
@@ -77,6 +88,8 @@ object T4ModelInlining {
     val tDriver = timeMillis(warmup = 1, reps = 2)(sklearnDriver(df))
     val tPredict = timeMillis(warmup = 1, reps = 2)(predictOp(df))
     val tInline = timeMillis(warmup = 1, reps = 2)(predictOp(ravenDf))
+    val tPredictRf = timeMillis(warmup = 1, reps = 2)(predictRf(df))
+    val tInlineRf = timeMillis(warmup = 1, reps = 2)(predictRf(ravenDf))
 
     // pruning on top: pregnant = 1 cohort
     val cohort = df.filter("pregnant = 1").cache()
@@ -97,6 +110,9 @@ object T4ModelInlining {
         Seq("inlined by Raven (whole-stage codegen)", rows.toString, fmt(tInline), fmtX(tExternal / tInline)),
         Seq("sklearn out-of-DB on pregnant=1 cohort", "cohort", fmt(tExternalCohort), "1.00x"),
         Seq("inlined + predicate-pruned on cohort", "cohort", fmt(tInlinePruned), fmtX(tExternalCohort / tInlinePruned)),
+        Seq(s"forest (${rf.model.asInstanceOf[RandomForestModel].totalNodes} nodes): in-engine PREDICT operator",
+          rows.toString, fmt(tPredictRf), "-"),
+        Seq("forest: inlined by Raven, speedup vs its PREDICT", rows.toString, fmt(tInlineRf), fmtX(tPredictRf / tInlineRf)),
       ))
   }
 

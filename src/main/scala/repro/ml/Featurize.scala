@@ -67,8 +67,9 @@ final case class FeaturePipeline(
 
   def isCategorical(col: String): Boolean = encoders.exists(_.inputCol == col)
 
-  /** Featurize one raw row given in [[inputCols]] order (numerics as
-    * numbers, categoricals as strings).
+  /** Featurize one raw row given in [[inputCols]] order. A numeric value
+    * reads as a double and NULL as 0.0; a categorical value reads as its
+    * `String.valueOf`, and NULL as no category.
     */
   def transform(raw: IndexedSeq[Any]): Array[Double] = {
     require(raw.size == inputCols.size, s"expected ${inputCols.size} values, got ${raw.size}")
@@ -78,7 +79,8 @@ final case class FeaturePipeline(
     var off = numCount
     var e = 0
     while (e < encs.length) {
-      encs(e).encode(String.valueOf(raw(numCount + e)), out, off)
+      val v = raw(numCount + e)
+      if (v != null) encs(e).encode(String.valueOf(v), out, off)
       off += encs(e).width
       e += 1
     }
@@ -95,7 +97,8 @@ final case class FeaturePipeline(
     while (i < numCount) { out(i) = toDouble(raw(i)); i += 1 }
     var e = 0
     while (e < encs.length) {
-      out(numCount + e) = encs(e).indexOf(String.valueOf(raw(numCount + e))).toDouble
+      val v = raw(numCount + e)
+      out(numCount + e) = (if (v == null) -1 else encs(e).indexOf(String.valueOf(v))).toDouble
       e += 1
     }
     out

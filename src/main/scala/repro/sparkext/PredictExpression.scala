@@ -24,8 +24,8 @@ final case class PredictExpression(modelId: String, children: Seq[Expression])
   override def nullable: Boolean = false
   override def prettyName: String = "raven_predict"
 
-  /** Only numbers, booleans and strings read alike per row and inlined: a
-    * TIMESTAMP reads as microseconds per row, as seconds cast to DOUBLE.
+  /** Only numbers, booleans and strings: a TIMESTAMP or DATE would reach
+    * the pipeline as Spark's internal microseconds or days.
     */
   override def checkInputDataTypes(): TypeCheckResult = children.map(_.dataType).zipWithIndex.collectFirst {
     case (t, i) if !(t.isInstanceOf[NumericType] || t.isInstanceOf[StringType] || t == BooleanType || t == NullType) =>
@@ -36,14 +36,7 @@ final case class PredictExpression(modelId: String, children: Seq[Expression])
     val n = children.size
     val vals = new Array[Any](n)
     var i = 0
-    while (i < n) {
-      vals(i) = children(i).eval(input) match {
-        case s: UTF8String => s.toString
-        case d: Decimal    => d.toDouble // as a cast to DOUBLE, which the inlined trees apply
-        case other         => other
-      }
-      i += 1
-    }
+    while (i < n) { vals(i) = PredictExpression.rawValue(children(i).eval(input)); i += 1 }
     pipeline.predictRaw(scala.collection.immutable.ArraySeq.unsafeWrapArray(vals))
   }
 
@@ -52,6 +45,15 @@ final case class PredictExpression(modelId: String, children: Seq[Expression])
 }
 
 object PredictExpression {
+
+  /** A Spark value as the pipelines read it: a string as a `String`, and a
+    * DECIMAL as its double, in a numeric column and a categorical one alike.
+    */
+  private[sparkext] def rawValue(v: Any): Any = v match {
+    case s: UTF8String => s.toString
+    case d: Decimal    => d.toDouble
+    case other         => other
+  }
 
   /** Builder for SQL registration: `raven_predict('model_id', f1, f2, ...)`.
     * Argument order must match the deployed pipeline's `inputCols`.

@@ -17,9 +17,11 @@ import repro.ml.ModelPipeline
   */
 object Raven {
 
-  /** The inlining budget: [[RavenRules.ModelInlining]] inlines a tree or
-    * forest of at most this many nodes.
+  /** Read by nothing in the program: [[RavenRules.ModelInlining]] inlines
+    * every tree and forest without a scaler, whatever its node count. Kept
+    * for callers outside the program that still read it.
     */
+  @deprecated("model inlining has no node budget", "0.7")
   val DefaultInlineMaxNodes = 512
 
   /** Adds the rules unless the session's own `extraOptimizations` already hold them. */

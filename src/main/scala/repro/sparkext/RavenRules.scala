@@ -124,48 +124,23 @@ object RavenRules {
     }
   }
 
-  /** Model inlining (§4.2): a small decision tree or forest becomes an
-    * [[InlinedTrees]] expression over its feature expressions, which
-    * whole-stage codegen compiles with the rest of the stage, removing the
-    * model-runtime boundary entirely.
+  /** Model inlining (§4.2): a decision tree or forest without a scaler, of
+    * any size, becomes an [[InlinedTrees]] expression over the arguments of
+    * the columns its trees read, which whole-stage codegen compiles with the
+    * rest of the stage, removing the model-runtime boundary entirely. A
+    * column no split reads stays prunable from the scan.
     */
   object ModelInlining extends Rule[LogicalPlan] {
     def apply(plan: LogicalPlan): LogicalPlan = plan.transformAllExpressions {
-      case p: PredictExpression => maybeInline(p).getOrElse(p)
-    }
-
-    private def maybeInline(p: PredictExpression): Option[Expression] = {
-      val mp = ModelRegistry.get(p.modelId)
-      if (mp.scaler.nonEmpty) return None
-      mp.model match {
-        case t: DecisionTreeModel if t.nodeCount <= Raven.DefaultInlineMaxNodes => Some(inline(p, mp.pipeline, IndexedSeq(t)))
-        case f: RandomForestModel if f.totalNodes <= Raven.DefaultInlineMaxNodes => Some(inline(p, mp.pipeline, f.trees))
-        case _ => None
-      }
-    }
-
-    /** The trees over the features they read, renumbered to those features'
-      * positions: a column no split reads stays prunable from the scan.
-      */
-    private def inline(p: PredictExpression, pipeline: FeaturePipeline, trees: IndexedSeq[DecisionTreeModel])
-        : InlinedTrees = {
-      val used = trees.flatMap(_.usedFeatures).distinct.sorted
-      val slot = used.zipWithIndex.toMap
-      def renumber(n: TreeNode): TreeNode = n match {
-        case repro.ml.Split(f, t, l, r) => repro.ml.Split(slot(f), t, renumber(l), renumber(r))
-        case leaf                       => leaf
-      }
-      val feats = featureExprs(pipeline, p.children)
-      InlinedTrees(p.modelId, trees.map(t => t.copy(root = renumber(t.root), numFeatures = used.size)), used.map(feats))
-    }
-
-    /** Catalyst expression per feature index over the predict's children. */
-    private def featureExprs(pipeline: FeaturePipeline, children: Seq[Expression]): IndexedSeq[Expression] = {
-      val byCol = pipeline.inputCols.zip(children).toMap
-      (pipeline.numericCols.map(c => Cast(byCol(c), DoubleType)) ++
-        pipeline.encoders.flatMap(e => e.categories.map(v =>
-          If(EqualTo(byCol(e.inputCol), Literal(UTF8String.fromString(v), StringType)),
-            Literal(1.0), Literal(0.0))))).toIndexedSeq
+      case p: PredictExpression =>
+        val mp = ModelRegistry.get(p.modelId)
+        mp.model match {
+          case _: DecisionTreeModel | _: RandomForestModel if mp.scaler.isEmpty =>
+            val (pipeline, model, _) = ModelPruner.projectPipeline(mp.pipeline, mp.model)
+            InlinedTrees(mp.copy(pipeline = pipeline, model = model),
+              pipeline.inputCols.map(c => p.children(mp.inputCols.indexOf(c))))
+          case _ => p
+        }
     }
   }
 

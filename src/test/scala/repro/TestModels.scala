@@ -25,14 +25,21 @@ object TestModels {
   lazy val hospitalForestPipeline: ModelPipeline =
     ModelPipeline("hospital_rf", HospitalData.pipeline, None, hospitalForest)
 
-  /** The benchmark's forest shape: ten depth-5 trees, over the inlining
-    * budget until pruned for `pregnant = 1`.
-    */
+  /** The benchmark's forest shape: ten depth-5 trees (558 nodes). */
   lazy val hospitalForest10: RandomForestModel =
     RandomForest.train(hospitalX, hospitalY, isClassifier = false, numTrees = 10, maxDepth = 5, minSamplesLeaf = 5)
 
   lazy val hospitalForest10Pipeline: ModelPipeline =
     ModelPipeline("hospital_rf10", HospitalData.pipeline, None, hospitalForest10)
+
+  /** Models whose literal generated code exceeds one method: a forest of
+    * over 5 000 nodes and a tree of over 2 000 nodes, 15 levels deep.
+    */
+  lazy val hospitalForestLarge: ModelPipeline = ModelPipeline("hospital_rf_large", HospitalData.pipeline, None,
+    RandomForest.train(hospitalX, hospitalY, isClassifier = false, numTrees = 10, maxDepth = 10, minSamplesLeaf = 2))
+
+  lazy val hospitalTreeDeep: ModelPipeline = ModelPipeline("hospital_dt_deep", HospitalData.pipeline, None,
+    DecisionTree.train(hospitalX, hospitalY, isClassifier = false, maxDepth = 14, minSamplesLeaf = 1))
 
   lazy val hospitalMlp: MlpModel = {
     val scaler = StandardScaler.fit(hospitalX)

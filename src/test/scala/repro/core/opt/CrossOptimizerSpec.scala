@@ -24,6 +24,8 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
     "hospital_dt" -> TestModels.handTreePipeline,
     "flight_lr" -> TestModels.flightLrPipeline,
     "hospital_rf10" -> TestModels.hospitalForest10Pipeline,
+    "hospital_rf10_scaled" -> TestModels.hospitalForest10Pipeline.copy(
+      id = "hospital_rf10_scaled", scaler = Some(TestModels.hospitalScaler)),
   )
 
   /** Raven's rules without model inlining. */
@@ -143,12 +145,18 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
     assert(inlined.nonEmpty && inlined.map(_.variantId) == predicts.map(_.modelId), s"plan:\n$plan")
   }
 
-  test("model inlining respects the node budget") {
+  test("every tree or forest without a scaler inlines, pruned or not") {
     val rf10 = fig1Sql.replace("hospital_dt", "hospital_rf10")
     val unfiltered = rf10.substring(0, rf10.indexOf("WHERE"))
-    assert(predictsIn(sparkPlan(StaticAnalyzer.analyzeSql(unfiltered, catalog, store).ir)).nonEmpty)
-    // pruned for pregnant = 1, the forest fits the budget
-    assert(predictsIn(sparkPlan(StaticAnalyzer.analyzeSql(rf10, catalog, store).ir)).isEmpty)
+    // unpruned and pruned for pregnant = 1
+    for (sql <- Seq(unfiltered, rf10)) {
+      val plan = sparkPlan(StaticAnalyzer.analyzeSql(sql, catalog, store).ir)
+      assert(predictsIn(plan).isEmpty && plan.exists(_.expressions.exists(_.exists(_.isInstanceOf[InlinedTrees]))),
+        s"plan:\n$plan")
+    }
+    // a scaler sits between the features and the trees: a per-row predict
+    val scaled = sparkPlan(StaticAnalyzer.analyzeSql(unfiltered.replace("rf10", "rf10_scaled"), catalog, store).ir)
+    assert(predictsIn(scaled).map(_.modelId) == Seq("hospital_rf10_scaled"), s"plan:\n$scaled")
   }
 
   test("NN translation replaces Predict with an LA operator") {

@@ -344,17 +344,21 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
     }
   }
 
-  test("model inlining respects the node budget") {
-    Raven.deploy(TestModels.hospitalForest10Pipeline)
-    val sql = s"SELECT patient_id, ${Raven.predictSql(TestModels.hospitalForest10Pipeline.id)} AS score FROM patients_all"
-    withRules(Seq(RavenRules.ModelInlining)) {
-      val df = spark.sql(sql)
-      assert(predictsIn(df.queryExecution.optimizedPlan).nonEmpty)
-    }
-    // pruned for pregnant = 1, the forest fits the budget
-    withRules(Seq(RavenRules.ModelSpecialization, RavenRules.ModelInlining)) {
-      assert(predictsIn(spark.sql(s"$sql WHERE pregnant = 1").queryExecution.optimizedPlan).isEmpty)
-    }
+  test("every tree or forest without a scaler inlines, pruned or not") {
+    val forest = TestModels.hospitalForest10Pipeline
+    val scaled = forest.copy(id = "hospital_rf10_scaled", scaler = Some(TestModels.hospitalScaler))
+    Seq(forest, TestModels.hospitalTreeDeep, scaled).foreach(Raven.deploy)
+    def sql(id: String) = s"SELECT patient_id, ${Raven.predictSql(id)} AS score FROM patients_all"
+    def scores(df: DataFrame) = df.collect().map(r => r.getLong(0) -> java.lang.Double.doubleToRawLongBits(r.getDouble(1))).toMap
+    val perRow = scores(spark.sql(sql(forest.id)))
+    for (rules <- Seq(Seq(RavenRules.ModelInlining), Seq(RavenRules.ModelSpecialization, RavenRules.ModelInlining)))
+      withRules(rules) {
+        for (id <- Seq(forest.id, TestModels.hospitalTreeDeep.id); where <- Seq("", " WHERE pregnant = 1"))
+          assert(predictsIn(spark.sql(sql(id) + where).queryExecution.optimizedPlan).isEmpty, s"$id$where")
+        assert(scores(spark.sql(sql(forest.id))) == perRow)
+        // a scaler sits between the features and the trees: a per-row predict
+        assert(predictsIn(spark.sql(sql(scaled.id)).queryExecution.optimizedPlan).map(_.modelId) == Seq(scaled.id))
+      }
   }
 
   test("forest inlining averages the trees") {
