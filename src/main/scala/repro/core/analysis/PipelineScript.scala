@@ -1,11 +1,18 @@
 package repro.core.analysis
 
-import repro.core.ir._
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.catalyst.expressions._
+import org.apache.spark.sql.catalyst.parser.CatalystSqlParser
+import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
+import org.apache.spark.sql.types.{DoubleType, NumericType, StringType}
+import repro.core.ir.SchemaCatalog
 import repro.ml.ModelPipeline
 
+import scala.util.Try
 import scala.util.control.NonFatal
 
-/** Static analysis of imperative model-pipeline scripts (§3.2).
+/** Static analysis of imperative model-pipeline scripts (§3.2) into the
+  * Catalyst plans [[StaticAnalyzer]] builds for SQL.
   *
   * The paper analyzes Python scripts (lexing, parsing, scope extraction,
   * type inference, control/data-flow extraction) against a knowledge base
@@ -30,8 +37,10 @@ object PipelineScript {
   final case class AnalysisError(msg: String, line: Int)
       extends RuntimeException(s"line $line: $msg")
 
-  /** One plan per execution path (conditionals fork the analysis). */
-  final case class PathPlan(ir: IRNode, pathCondition: Option[String])
+  /** One plan per execution path (conditionals fork the analysis); `ir` is
+    * unresolved, and [[repro.sparkext.Raven.run]] deploys `pipelines` and runs it.
+    */
+  final case class PathPlan(ir: LogicalPlan, pathCondition: Option[String], pipelines: Seq[ModelPipeline])
 
   final case class ScriptAnalysis(
       plans: Seq[PathPlan],
@@ -46,9 +55,9 @@ object PipelineScript {
     * program point; conditionals can give a variable different frame
     * schemas per path).
     */
-  sealed trait VType
-  final case class VTable(ir: IRNode) extends VType
-  final case class VModel(pipeline: ModelPipeline) extends VType
+  private sealed trait VType
+  private final case class VTable(frame: Frame) extends VType
+  private final case class VModel(pipeline: ModelPipeline) extends VType
 
   /** Registered black-box functions usable from scripts; anything invoked
     * but unregistered still analyzes (as an opaque UDF that fails at run
@@ -76,7 +85,7 @@ object PipelineScript {
   private val ForRe       = """for\s+.*""".r
   private val WhileRe     = """while\s+.*""".r
 
-  /** Analyze a script into IR plans.
+  /** Analyze a script into Catalyst plans.
     *
     * @param modelStore resolves `load_model` ids to deployed pipelines
     * @param udfs       registry for unknown function calls
@@ -106,8 +115,8 @@ object PipelineScript {
     def walk(ls: Vector[(String, Int)], env: Map[String, VType], last: Option[String],
              cond: Option[String]): Seq[PathPlan] = ls match {
       case (raw, lineNo) +: tail =>
-        def table(v: String): IRNode = env.get(v) match {
-          case Some(VTable(ir)) => ir
+        def table(v: String): Frame = env.get(v) match {
+          case Some(VTable(f))  => f
           case Some(_: VModel)  => throw AnalysisError(s"'$v' is a model, expected a frame", lineNo)
           case None             => throw AnalysisError(s"undefined variable '$v'", lineNo)
         }
@@ -116,7 +125,7 @@ object PipelineScript {
           case Some(_)          => throw AnalysisError(s"'$v' is not a model", lineNo)
           case None             => throw AnalysisError(s"undefined variable '$v'", lineNo)
         }
-        def assign(v: String, ir: IRNode): Seq[PathPlan] = walk(tail, env + (v -> VTable(ir)), Some(v), cond)
+        def assign(v: String, f: Frame): Seq[PathPlan] = walk(tail, env + (v -> VTable(f)), Some(v), cond)
 
         raw.trim match {
           case IfRe(c) =>
@@ -136,7 +145,7 @@ object PipelineScript {
               walk(elseBlock ++ rest, env, last, Some(cond.fold(s"not($c)")(o => s"$o and not($c)")))
           case ReadRe(v, t) =>
             if (!catalog.contains(t)) throw AnalysisError(s"unknown table '$t'", lineNo)
-            assign(v, IRScan(t, catalog.table(t).columns))
+            assign(v, Frame.scan(t, catalog))
           case LoadModelRe(v, id) =>
             val mp = try modelStore(id) catch {
               case NonFatal(e) => throw AnalysisError(s"cannot load model '$id': ${e.getMessage}", lineNo).initCause(e)
@@ -146,49 +155,62 @@ object PipelineScript {
             if (src != srcRef)
               throw AnalysisError(s"filter frame mismatch: $src vs $srcRef", lineNo)
             val src2 = table(src)
-            if (!src2.outputCols.contains(col))
+            if (!src2.cols.contains(col))
               throw AnalysisError(s"no column '$col' in frame '$src'", lineNo)
-            val lit: ScalarExpr =
-              if (litRaw.startsWith("\"") && litRaw.endsWith("\"")) StrLit(litRaw.substring(1, litRaw.length - 1))
-              else try NumLit(java.lang.Double.parseDouble(litRaw))
-              catch { case _: NumberFormatException =>
-                throw AnalysisError(s"literal $litRaw is neither a number nor a quoted string", lineNo) }
-            val sqlOp = op match { case "==" => "="; case "!=" => "<>"; case o => o }
-            assign(v, IRFilter(Cmp(sqlOp, ColRef(col), lit), src2))
+            // Spark SQL reads the literal: a number as in a query, a quoted string as a string
+            val lit = Try(CatalystSqlParser.parseExpression(litRaw)).toOption.collect {
+              case l @ Literal(_, _: NumericType | StringType) => l
+            }.getOrElse(throw AnalysisError(s"literal $litRaw is neither a number nor a quoted string", lineNo))
+            assign(v, src2.where(Comparisons(op)(Frame.col(col), lit)))
           case ProjectRe(v, src, colsRaw) =>
             val src2 = table(src)
             val cols = colsRaw.split(",").map(_.trim.stripPrefix("\"").stripSuffix("\"")).toSeq
-            cols.foreach(c => if (!src2.outputCols.contains(c))
+            cols.foreach(c => if (!src2.cols.contains(c))
               throw AnalysisError(s"no column '$c' in frame '$src'", lineNo))
-            assign(v, IRProject(cols.map(c => NamedExpr(c, ColRef(c))), src2))
+            assign(v, src2.select(cols))
           case JoinRe(v, a, bV, lk, rkOpt) =>
             val l = table(a); val r = table(bV)
             val rk = Option(rkOpt).getOrElse(lk)
-            if (!l.outputCols.contains(lk)) throw AnalysisError(s"no join key '$lk' in '$a'", lineNo)
-            if (!r.outputCols.contains(rk)) throw AnalysisError(s"no join key '$rk' in '$bV'", lineNo)
-            assign(v, IRJoin(l, r, lk, rk))
+            if (!l.cols.contains(lk)) throw AnalysisError(s"no join key '$lk' in '$a'", lineNo)
+            if (!r.cols.contains(rk)) throw AnalysisError(s"no join key '$rk' in '$bV'", lineNo)
+            assign(v, l.join(r, lk, rk))
           case PredictRe(v, mv, dv) =>
             val mp = model(mv)
             val src = table(dv)
-            val missing = mp.inputCols.filterNot(src.outputCols.contains)
+            val missing = mp.inputCols.filterNot(src.cols.contains)
             if (missing.nonEmpty)
               throw AnalysisError(s"frame '$dv' lacks model inputs: ${missing.mkString(",")}", lineNo)
-            assign(v, IRPredict("prediction", mp, src))
+            assign(v, src.predict(mp, "prediction"))
           case ReturnRe(v) =>
-            Seq(PathPlan(table(v), cond))
+            Seq(pathPlan(table(v), cond))
           case CallRe(v, fn, arg) =>
             // Unknown API call — wrap as a black-box UDF over all columns.
             val src = table(arg)
-            assign(v, IRUdf(fn, s"${fn}_out", src.outputCols, udfs.lookup(fn), src))
+            assign(v, src.withColumn(s"${fn}_out", udf(fn, udfs.lookup(fn), src.cols)))
           case other =>
             throw AnalysisError(s"cannot parse statement: '$other'", lineNo)
         }
       case _ =>
-        last.flatMap(env.get).collect { case VTable(ir) => PathPlan(ir, cond) }.toSeq
+        last.flatMap(env.get).collect { case VTable(f) => pathPlan(f, cond) }.toSeq
     }
 
     val plans = walk(lines, Map.empty, None, None)
     if (plans.isEmpty) throw AnalysisError("script produces no frame", lines.lastOption.map(_._2).getOrElse(0))
     ScriptAnalysis(plans, (System.nanoTime() - t0) / 1000, fallbackToUdf = false)
   }
+
+  private def pathPlan(f: Frame, cond: Option[String]) = PathPlan(f.plan, cond, f.pipelines)
+
+  private val Comparisons: Map[String, (Expression, Expression) => Expression] = Map(
+    "==" -> (EqualTo(_, _)), "!=" -> ((l, r) => Not(EqualTo(l, r))), "<" -> (LessThan(_, _)),
+    "<=" -> (LessThanOrEqual(_, _)), ">" -> (GreaterThan(_, _)), ">=" -> (GreaterThanOrEqual(_, _)))
+
+  /** The opaque function `fn` as one Catalyst node: a Scala UDF over a
+    * struct of the frame's columns, given to `fn` in frame order.
+    */
+  private def udf(name: String, fn: IndexedSeq[Any] => Any, cols: Seq[String]): ScalaUDF =
+    ScalaUDF((r: Row) => fn(r.toSeq.toIndexedSeq) match {
+      case n: java.lang.Number => n.doubleValue
+      case other               => throw new IllegalArgumentException(s"UDF must return a number, got $other")
+    }, DoubleType, Seq(CreateStruct(cols.map(Frame.col))), udfName = Some(name))
 }

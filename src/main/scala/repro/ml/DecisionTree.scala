@@ -70,36 +70,9 @@ final case class DecisionTreeModel(
     walk(root)
     buf.result()
   }
-
-  /** Render the tree as a nested SQL CASE expression over the given feature
-    * column expressions — model inlining (§4.2): the tree becomes pure
-    * relational scalar logic that SQL Server's Froid (or Spark's
-    * whole-stage codegen, in this reproduction) can compile.
-    *
-    * The emitted SQL is engine-portable: it runs identically on Spark SQL
-    * and DuckDB, which the oracle tests exploit.
-    */
-  def toCaseSql(featureExprs: IndexedSeq[String]): String = {
-    require(featureExprs.size == numFeatures, s"need $numFeatures feature exprs, got ${featureExprs.size}")
-    def render(n: TreeNode): String = n match {
-      case Leaf(v)           => s"CAST($v AS DOUBLE)"
-      case Split(f, t, l, r) =>
-        s"(CASE WHEN ${featureExprs(f)} < $t THEN ${render(l)} ELSE ${render(r)} END)"
-    }
-    render(root)
-  }
 }
 
 object DecisionTree {
-
-  /** SQL expression per feature index of `pipeline`, for [[DecisionTreeModel.toCaseSql]]:
-    * numerics read the column directly, one-hot features become indicator
-    * CASE expressions.
-    */
-  def featureSqlExprs(pipeline: FeaturePipeline): IndexedSeq[String] =
-    (pipeline.numericCols.map(c => s"CAST($c AS DOUBLE)") ++
-      pipeline.encoders.flatMap(e => e.categories.map(v =>
-        s"(CASE WHEN ${e.inputCol} = '${v.replace("'", "''")}' THEN 1.0 ELSE 0.0 END)"))).toIndexedSeq
 
   /** Train a CART tree.
     *
@@ -196,10 +169,6 @@ final case class RandomForestModel(trees: IndexedSeq[DecisionTreeModel], isClass
   def usedFeatures: Set[Int] = trees.iterator.flatMap(_.usedFeatures).toSet
 
   def totalNodes: Int = trees.map(_.nodeCount).sum
-
-  /** The mean of the trees' CASE expressions ([[DecisionTreeModel.toCaseSql]]). */
-  def toCaseSql(featureExprs: IndexedSeq[String]): String =
-    s"((${trees.map(t => s"(${t.toCaseSql(featureExprs)})").mkString(" + ")}) / ${trees.size})"
 }
 
 object RandomForest {

@@ -1,8 +1,9 @@
 package repro.sparkext
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, Encoders, Row, SparkSession, classic}
 import org.apache.spark.sql.catalyst.FunctionIdentifier
 import org.apache.spark.sql.catalyst.expressions.{Expression, ExpressionInfo}
+import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import repro.ml.ModelPipeline
 
 /** Session-level installation of Raven: deploys the cross-optimizer rules
@@ -59,6 +60,18 @@ object Raven {
   }
 
   def deploy(mp: ModelPipeline): Unit = ModelRegistry.deploy(mp)
+
+  /** Runs a plan of the static analyzers (`StaticAnalyzer.analyzeSql`,
+    * `PipelineScript.analyze`) on `spark`: deploys the `pipelines` its
+    * predicts invoke, resolves its tables from the session's catalog, and
+    * returns its rows. The session's optimizer, with Raven's rules if
+    * installed, rewrites it as it does a SQL query.
+    */
+  def run(spark: SparkSession, plan: LogicalPlan, pipelines: Seq[ModelPipeline]): DataFrame = {
+    pipelines.foreach(deploy)
+    val analyzed = spark.sessionState.executePlan(plan).analyzed
+    new classic.Dataset[Row](spark.asInstanceOf[classic.SparkSession], analyzed, Encoders.row(analyzed.schema))
+  }
 
   /** The SQL fragment invoking a deployed model over its input columns. */
   def predictSql(modelId: String): String = {

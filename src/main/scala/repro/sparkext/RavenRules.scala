@@ -11,9 +11,9 @@ import repro.ml._
 
 /** Raven's model rewrites as Catalyst optimizer rules, injected via
   * `spark.experimental.extraOptimizations`. They are the only code that
-  * rewrites a model: they fire on any DataFrame/SQL plan containing
-  * [[PredictExpression]], including IR plans lowered by
-  * [[repro.core.codegen.RuntimeCodeGenerator]].
+  * rewrites a model: they fire on any plan containing [[PredictExpression]],
+  * from SQL, from a DataFrame, or from Raven's static analyzers, whose IR
+  * is the Catalyst plan itself.
   */
 object RavenRules {
 
@@ -57,12 +57,16 @@ object RavenRules {
       else PredictExpression(derivedId, ModelRegistry.get(derivedId).inputCols.map(c => p.children(cols.indexOf(c))))
     }
 
-    /** `fact` as a predicate on model column `col`, if it compares `a` with a literal. */
+    /** `fact` as a predicate on model column `col`, if it compares `a` with a
+      * literal. A category needs `a` itself: a string cast of a number need
+      * not read as the model reads the number.
+      */
     private def predicate(a: Attribute, col: String)(fact: Expression): Option[ColPredicate] = {
       def isA(e: Expression) = Attr.unapply(e).exists(_.exprId == a.exprId)
+      def bare(e: Expression) = e match { case b: Attribute => b.exprId == a.exprId; case _ => false }
       fact match {
-        case EqualTo(x, Literal(s: UTF8String, StringType)) if isA(x) => Some(CatEquals(col, s.toString))
-        case EqualTo(Literal(s: UTF8String, StringType), x) if isA(x) => Some(CatEquals(col, s.toString))
+        case EqualTo(x, Literal(s: UTF8String, StringType)) if bare(x) => Some(CatEquals(col, s.toString))
+        case EqualTo(Literal(s: UTF8String, StringType), x) if bare(x) => Some(CatEquals(col, s.toString))
         case c @ BinaryComparison(x, LitNum(v)) if isA(x) => bound(c, v, attrLeft = true, staysStrict(a.dataType)).map(NumRange(col, _))
         case c @ BinaryComparison(LitNum(v), x) if isA(x) => bound(c, v, attrLeft = false, staysStrict(a.dataType)).map(NumRange(col, _))
         case _                                            => None

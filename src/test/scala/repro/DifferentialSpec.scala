@@ -2,15 +2,14 @@ package repro
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.analysis.StaticAnalyzer
-import repro.core.codegen.RuntimeCodeGenerator
+import repro.core.analysis.{PipelineScript, StaticAnalyzer}
 import repro.ml.ModelPipeline
 import repro.sparkext.{Raven, RavenRuntime}
 
-/** The IR path (static analysis, then lowering), the SQL
-  * `raven_predict` path and the DataFrame `RavenRuntime.predictBatch` path,
-  * all under Raven's rules, against the same query on a session with only
-  * the runtime installed. Each model is queried under each cohort filter,
+/** The IR paths (the SQL analyzer's and the PyLite analyzer's Catalyst
+  * plans, run by `Raven.run`), the SQL `raven_predict` path and the
+  * DataFrame `RavenRuntime.predictBatch` path, all under Raven's rules,
+  * against the same query on a session with only the runtime installed. Each model is queried under each cohort filter,
   * filtered query first and unfiltered first, under an id of its own, so
   * that the variants one query derives meet the other query.
   */
@@ -33,8 +32,21 @@ class DifferentialSpec extends AnyFunSuite with SparkSpec {
 
   private def irRows(s: SparkSession, f: Family, mp: ModelPipeline, filter: Option[String]): Seq[(Long, Double)] = {
     val sql = s"SELECT ${f.key}, PREDICT(model) AS score FROM ${f.table}${where(filter)}"
-    val ir = StaticAnalyzer.analyzeSql(sql, TestTables.hospitalCatalog, Map("model" -> mp)).ir
-    rows(RuntimeCodeGenerator.toDataFrame(ir, s))
+    val a = StaticAnalyzer.analyzeSql(sql, TestTables.hospitalCatalog, Map("model" -> mp))
+    rows(Raven.run(s, a.ir, a.pipelines))
+  }
+
+  /** The cohort filter `col op literal` as a PyLite script line. */
+  private def scriptFilter(w: String): String = {
+    val Array(c, op, lit) = w.split(" ")
+    s"df = df[df.$c ${if (op == "=") "==" else op} ${lit.replace('\'', '"')}]"
+  }
+
+  private def scriptRows(s: SparkSession, f: Family, mp: ModelPipeline, filter: Option[String]): Seq[(Long, Double)] = {
+    val script = (Seq(s"""df = read("${f.table}")""") ++ filter.map(scriptFilter) ++ Seq(
+      """m = load_model("model")""", "df = m.predict(df)", s"""df = df[["${f.key}", "prediction"]]""", "return df"))
+    val p = PipelineScript.analyze(script.mkString("\n"), TestTables.hospitalCatalog, Map("model" -> mp)).plans.head
+    rows(Raven.run(s, p.ir, p.pipelines))
   }
 
   private def sqlRows(s: SparkSession, f: Family, mp: ModelPipeline, filter: Option[String]): Seq[(Long, Double)] =
@@ -56,7 +68,7 @@ class DifferentialSpec extends AnyFunSuite with SparkSpec {
       val cohorts = f.filters.map(Some(_)) :+ None
       val reference = cohorts.map(w => w -> sqlRows(TestTables.reference, f, f.mp, w)).toMap
       for ((filter, i) <- cohorts.zipWithIndex; filteredFirst <- Seq(true, false) if filter.nonEmpty || filteredFirst;
-           (path, run) <- Seq("ir" -> irRows _, "sql" -> sqlRows _, "df" -> dfRows _)) {
+           (path, run) <- Seq("ir" -> irRows _, "script" -> scriptRows _, "sql" -> sqlRows _, "df" -> dfRows _)) {
         // a fresh id: no variants derived by earlier queries
         val mp = f.mp.copy(id = s"diff_${f.name}_${i}_${filteredFirst}_$path")
         Raven.deploy(mp)

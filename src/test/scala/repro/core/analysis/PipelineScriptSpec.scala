@@ -1,10 +1,24 @@
 package repro.core.analysis
 
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.catalyst.analysis.{UnresolvedAttribute, UnresolvedRelation}
+import org.apache.spark.sql.catalyst.expressions.{Alias, EqualTo, Literal, ScalaUDF}
+import org.apache.spark.sql.catalyst.plans.{Inner, UsingJoin}
+import org.apache.spark.sql.catalyst.plans.logical.{Filter, Join, LogicalPlan, Project}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestModels
 import repro.core.ir._
+import repro.sparkext.PredictExpression
 
 class PipelineScriptSpec extends AnyFunSuite {
+
+  private def filterSql(plan: LogicalPlan): Option[String] = plan.collectFirst { case f: Filter => f.condition.sql }
+
+  /** The single opaque UDF of `plan`. */
+  private def udfIn(plan: LogicalPlan): ScalaUDF = {
+    val Seq(udf) = plan.expressions.flatMap(_.collect { case u: ScalaUDF => u })
+    udf
+  }
 
   private val catalog = new SchemaCatalog()
     .register(TableDef("patients", Seq("patient_id", "age", "pregnant", "gender"), Some("patient_id")))
@@ -26,10 +40,8 @@ class PipelineScriptSpec extends AnyFunSuite {
     assert(!res.fallbackToUdf)
     assert(res.plans.size == 1)
     val ir = res.plans.head.ir
-    assert(ir.isInstanceOf[IRProject])
-    assert(ir.outputCols == Seq("patient_id", "age"))
-    val filter = ir.collectNodes.collectFirst { case f: IRFilter => f }.get
-    assert(filter.pred.toSql == "(age > 35)")
+    assert(ir.asInstanceOf[Project].projectList.map(_.name) == Seq("patient_id", "age"))
+    assert(filterSql(ir).contains("(age > 35)"))
   }
 
   test("join and model invocation build Predict over Join") {
@@ -45,11 +57,11 @@ class PipelineScriptSpec extends AnyFunSuite {
         |j = join(a, b, "patient_id")
         |m = load_model("hospital_hand_dt")
         |out = m.predict(j)""".stripMargin, hospitalCatalog, store)
-    val p = res.plans.head.ir.asInstanceOf[IRPredict]
-    assert(p.outputCol == "prediction")
-    assert(p.pipeline.id == "hospital_hand_dt")
-    assert(p.child.isInstanceOf[IRJoin])
-    assert(p.outputCols.last == "prediction")
+    val p = res.plans.head.ir.asInstanceOf[Project]
+    val Alias(predict: PredictExpression, name) = p.projectList.last
+    assert(name == "prediction")
+    assert(predict.modelId == "hospital_hand_dt" && res.plans.head.pipelines.map(_.id) == Seq("hospital_hand_dt"))
+    assert(p.child.asInstanceOf[Join].joinType == UsingJoin(Inner, Seq("patient_id")))
   }
 
   test("predict type-checks model inputs against frame columns") {
@@ -64,8 +76,8 @@ class PipelineScriptSpec extends AnyFunSuite {
     val res = analyze(
       """df = read("patients")
         |df = df[df.gender == "F"]""".stripMargin)
-    val f = res.plans.head.ir.asInstanceOf[IRFilter]
-    assert(f.pred == Cmp("=", ColRef("gender"), StrLit("F")))
+    val f = res.plans.head.ir.asInstanceOf[Filter]
+    assert(f.condition == EqualTo(UnresolvedAttribute.quoted("gender"), Literal("F")))
   }
 
   test("undefined variable is a scope error") {
@@ -101,11 +113,12 @@ class PipelineScriptSpec extends AnyFunSuite {
     val res = analyze(
       """df = read("patients")
         |df = normalize(df)""".stripMargin)
-    val udf = res.plans.head.ir.asInstanceOf[IRUdf]
-    assert(udf.name == "normalize")
-    assert(udf.category == OpCategory.UDF)
+    val ir = res.plans.head.ir
+    val udf = udfIn(ir)
+    assert(udf.udfName.contains("normalize"))
+    assert(OpCategory.of(ir).count(_ == OpCategory.UDF) == 1)
     // opaque UDFs analyze fine but are not executable
-    assertThrows[UnsupportedOperationException](udf.fn(IndexedSeq(1)))
+    assertThrows[UnsupportedOperationException](udf.function.asInstanceOf[Row => Any](Row(1)))
   }
 
   test("registered UDFs are executable") {
@@ -113,8 +126,8 @@ class PipelineScriptSpec extends AnyFunSuite {
     val res = PipelineScript.analyze(
       """df = read("patients")
         |df = double_age(df)""".stripMargin, catalog, store, udfs)
-    val udf = res.plans.head.ir.asInstanceOf[IRUdf]
-    assert(udf.fn(IndexedSeq(1L, 21, 0, "F")) == 42)
+    val udf = udfIn(res.plans.head.ir)
+    assert(udf.function.asInstanceOf[Row => Any](Row(1L, 21, 0, "F")) == 42)
   }
 
   test("conditional produces one plan per execution path") {
@@ -127,7 +140,7 @@ class PipelineScriptSpec extends AnyFunSuite {
         |return df""".stripMargin)
     assert(res.plans.size == 2)
     assert(res.plans.map(_.pathCondition) == Seq(Some("mode > 0"), Some("not(mode > 0)")))
-    val conds = res.plans.map(_.ir.asInstanceOf[IRFilter].pred.toSql)
+    val conds = res.plans.map(_.ir.asInstanceOf[Filter].condition.sql)
     assert(conds == Seq("(age > 35)", "(age <= 35)"))
   }
 
@@ -139,8 +152,8 @@ class PipelineScriptSpec extends AnyFunSuite {
         |return df""".stripMargin)
     assert(res.plans.size == 2)
     assert(res.plans.head.pathCondition.contains("mode > 0"))
-    assert(res.plans(0).ir.isInstanceOf[IRFilter])
-    assert(res.plans(1).ir.isInstanceOf[IRScan])
+    assert(res.plans(0).ir.isInstanceOf[Filter])
+    assert(res.plans(1).ir.isInstanceOf[UnresolvedRelation])
   }
 
   test("an if without else at the end of the script also yields the not-taken path") {
@@ -149,8 +162,8 @@ class PipelineScriptSpec extends AnyFunSuite {
         |if mode > 0:
         |    df = df[df.age > 35]""".stripMargin)
     assert(res.plans.map(_.pathCondition) == Seq(Some("mode > 0"), Some("not(mode > 0)")))
-    assert(res.plans(0).ir.isInstanceOf[IRFilter])
-    assert(res.plans(1).ir.isInstanceOf[IRScan])
+    assert(res.plans(0).ir.isInstanceOf[Filter])
+    assert(res.plans(1).ir.isInstanceOf[UnresolvedRelation])
   }
 
   test("nested conditions are joined with and") {
@@ -164,7 +177,7 @@ class PipelineScriptSpec extends AnyFunSuite {
         |return df""".stripMargin)
     assert(res.plans.map(_.pathCondition) ==
       Seq(Some("a > 0 and b > 0"), Some("a > 0 and not(b > 0)"), Some("not(a > 0)")))
-    assert(res.plans.map(_.ir.collectNodes.collectFirst { case f: IRFilter => f.pred.toSql }) ==
+    assert(res.plans.map(p => filterSql(p.ir)) ==
       Seq(Some("(age > 35)"), Some("(age <= 35)"), None))
   }
 
@@ -175,7 +188,7 @@ class PipelineScriptSpec extends AnyFunSuite {
         |    young = df[df.age < 30]
         |    return young
         |return df""".stripMargin)
-    assert(res.plans.map(_.ir.isInstanceOf[IRFilter]) == Seq(true, false))
+    assert(res.plans.map(_.ir.isInstanceOf[Filter]) == Seq(true, false))
   }
 
   test("an error inside an if-block reports its own line") {
@@ -235,7 +248,7 @@ class PipelineScriptSpec extends AnyFunSuite {
         |df = read("patients")  # inline comment
         |
         |return df""".stripMargin)
-    assert(res.plans.head.ir == IRScan("patients", catalog.table("patients").columns))
+    assert(res.plans.head.ir == UnresolvedRelation(Seq("patients")))
   }
 
   test("static analysis completes in under 10 ms (paper §3.2)") {

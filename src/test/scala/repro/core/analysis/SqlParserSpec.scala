@@ -1,12 +1,17 @@
 package repro.core.analysis
 
+import org.apache.spark.sql.catalyst.analysis.{UnresolvedAttribute, UnresolvedRelation, UnresolvedStar}
+import org.apache.spark.sql.catalyst.expressions._
+import org.apache.spark.sql.catalyst.plans.{Inner, UsingJoin}
+import org.apache.spark.sql.catalyst.plans.logical.{Filter, Join, JoinHint, LogicalPlan, Project}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestModels
 import repro.core.ir._
 import repro.ml.{DecisionTreeModel, FeaturePipeline, Leaf, ModelPipeline}
+import repro.sparkext.PredictExpression
 
 /** The SQL dialect that `StaticAnalyzer.analyzeSql` accepts, as Spark's parser
-  * reads it: each query either builds the expected IR or throws an
+  * reads it: each query either builds the expected plan or throws an
   * `IllegalArgumentException` naming the construct outside the dialect. */
 class SqlParserSpec extends AnyFunSuite {
 
@@ -16,13 +21,20 @@ class SqlParserSpec extends AnyFunSuite {
     .register(TableDef("u", Seq("a", "c")))
   private val m1 = ModelPipeline("m1", FeaturePipeline(Seq("a"), Nil), None,
     DecisionTreeModel(Leaf(1.0), 1, isClassifier = false))
-  private val t = IRScan("t", Seq("a", "b"))
-  private def cols(names: String*) = names.map(n => NamedExpr(n, ColRef(n)))
+  private val t = UnresolvedRelation(Seq("t"))
+  private def col(n: String) = UnresolvedAttribute.quoted(n)
+  private def cols(names: String*) = names.map(col)
+  /** `child` with `name` appended, holding m1's prediction. */
+  private def predict(name: String, child: LogicalPlan) =
+    Project(Seq(UnresolvedStar(None), Alias(PredictExpression("m1", cols("a")), name)()), child)
 
-  private def ir(sql: String): IRNode = StaticAnalyzer.analyzeSql(sql, dialect, Map("m1" -> m1)).ir
+  private def ir(sql: String): LogicalPlan = StaticAnalyzer.analyzeSql(sql, dialect, Map("m1" -> m1)).ir
 
-  private def accepts(cases: (String, IRNode)*): Unit =
-    for ((sql, expected) <- cases) assert(ir(sql) == expected, sql)
+  /** Plans compare without the ids Spark gives each alias. */
+  private def sameIds(p: LogicalPlan) = p.transformAllExpressions { case a: Alias => Alias(a.child, a.name)(ExprId(0)) }
+
+  private def accepts(cases: (String, LogicalPlan)*): Unit =
+    for ((sql, expected) <- cases) assert(sameIds(ir(sql)) == sameIds(expected), sql)
 
   private def rejects(cases: (String, String)*): Unit =
     for ((sql, construct) <- cases) {
@@ -33,12 +45,12 @@ class SqlParserSpec extends AnyFunSuite {
   test("lexer tokenizes identifiers, numbers, strings, operators") {
     accepts(
       // `<>` and `!=` are NOT(=) in Spark's plan; '' escapes a quote
-      "SELECT a FROM t WHERE a <> 1 AND b != 2.5 AND b = 'it''s'" -> IRProject(cols("a"), IRFilter(
-        And(And(Cmp("<>", ColRef("a"), NumLit(1)), Cmp("<>", ColRef("b"), NumLit(2.5))),
-          Cmp("=", ColRef("b"), StrLit("it's"))), t)),
-      "SELECT 1 AS one, a AS x FROM t WHERE a >= -1.5e0" -> IRProject(
-        Seq(NamedExpr("one", NumLit(1)), NamedExpr("x", ColRef("a"))),
-        IRFilter(Cmp(">=", ColRef("a"), NumLit(-1.5)), t)),
+      "SELECT a FROM t WHERE a <> 1 AND b != 2.5 AND b = 'it''s'" -> Project(cols("a"), Filter(
+        And(And(Not(EqualTo(col("a"), Literal(1))), Not(EqualTo(col("b"), Literal(BigDecimal("2.5"))))),
+          EqualTo(col("b"), Literal("it's"))), t)),
+      "SELECT 1 AS one, a AS x FROM t WHERE a >= -1.5e0" -> Project(
+        Seq(Alias(Literal(1), "one")(), Alias(col("a"), "x")()),
+        Filter(GreaterThanOrEqual(col("a"), Literal(-1.5)), t)),
     )
   }
 
@@ -54,7 +66,7 @@ class SqlParserSpec extends AnyFunSuite {
         Seq("patient_id", "hematocrit", "neutrophils", "glucose", "bmi", "pulse")))
       .register(TableDef("prenatal_tests", Seq("patient_id", "bp", "fetal_hr", "gestation_weeks")))
     val store = Map("hospital_dt" -> TestModels.handTreePipeline)
-    def analyze(sql: String) = StaticAnalyzer.analyzeSql(sql, catalog, store).ir
+    def analyze(sql: String) = sameIds(StaticAnalyzer.analyzeSql(sql, catalog, store).ir)
     val canonical = analyze(
       """SELECT patient_id, PREDICT(hospital_dt) AS los
         |FROM patient_info
@@ -67,26 +79,27 @@ class SqlParserSpec extends AnyFunSuite {
         |inner join blood_tests on blood_tests.patient_id = patient_info.patient_id
         |inner join prenatal_tests on prenatal_tests.patient_id = patient_id
         |where pregnant = 1 and predict(hospital_dt) > 7""".stripMargin) == canonical)
-    assert(canonical.collectNodes.collect { case IRScan(table, _) => table } ==
+    assert(canonical.collect { case r: UnresolvedRelation => r.tableName } ==
       Seq("patient_info", "blood_tests", "prenatal_tests"))
   }
 
   test("parses SELECT *") {
-    accepts("SELECT * FROM t WHERE b = 'AP01'" -> IRFilter(Cmp("=", ColRef("b"), StrLit("AP01")), t))
+    accepts("SELECT * FROM t WHERE b = 'AP01'" -> Filter(EqualTo(col("b"), Literal("AP01")), t))
   }
 
   test("parses qualified columns, dropping the qualifier") {
-    accepts("SELECT t.a FROM t WHERE t.b < 3" -> IRProject(cols("a"), IRFilter(Cmp("<", ColRef("b"), NumLit(3)), t)))
+    accepts("SELECT t.a FROM t WHERE t.b < 3" -> Project(cols("a"), Filter(LessThan(col("b"), Literal(3)), t)))
   }
 
   test("parses model id as string literal") {
     accepts(
-      "SELECT PREDICT('m1') AS p FROM t" -> IRProject(cols("p"), IRPredict("p", m1, t)),
+      "SELECT PREDICT('m1') AS p FROM t" -> Project(cols("p"), predict("p", t)),
       // lower-case predict, an identifier id, a join, the default score column
-      "select a, predict(m1) from t inner join u on u.a = t.a where predict(m1) <= 0.5" -> IRProject(
+      "select a, predict(m1) from t inner join u on u.a = t.a where predict(m1) <= 0.5" -> Project(
         cols("a", StaticAnalyzer.ScoreCol),
-        IRFilter(Cmp("<=", ColRef(StaticAnalyzer.ScoreCol), NumLit(0.5)),
-          IRPredict(StaticAnalyzer.ScoreCol, m1, IRJoin(t, IRScan("u", Seq("a", "c")), "a", "a")))),
+        Filter(LessThanOrEqual(col(StaticAnalyzer.ScoreCol), Literal(BigDecimal("0.5"))),
+          predict(StaticAnalyzer.ScoreCol,
+            Join(t, UnresolvedRelation(Seq("u")), UsingJoin(Inner, Seq("a")), None, JoinHint.NONE)))),
     )
   }
 
@@ -107,7 +120,7 @@ class SqlParserSpec extends AnyFunSuite {
   }
 
   test("literal-on-left comparisons parse") {
-    accepts("SELECT a FROM t WHERE 5 < a" -> IRProject(cols("a"), IRFilter(Cmp("<", NumLit(5), ColRef("a")), t)))
+    accepts("SELECT a FROM t WHERE 5 < a" -> Project(cols("a"), Filter(LessThan(Literal(5), col("a")), t)))
   }
 
   test("rejects joins, aliases, subqueries and names outside the dialect") {

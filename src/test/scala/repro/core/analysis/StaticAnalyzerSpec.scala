@@ -1,10 +1,19 @@
 package repro.core.analysis
 
+import org.apache.spark.sql.catalyst.analysis.{UnresolvedRelation, UnresolvedStar}
+import org.apache.spark.sql.catalyst.expressions.Alias
+import org.apache.spark.sql.catalyst.plans.{Inner, UsingJoin}
+import org.apache.spark.sql.catalyst.plans.logical.{Filter, Join, LogicalPlan, Project}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestModels
+import repro.{TestModels, TestTables}
 import repro.core.ir._
+import repro.sparkext.PredictExpression
 
 class StaticAnalyzerSpec extends AnyFunSuite {
+
+  /** The plan's output columns, resolved against the test tables of the same names. */
+  private def outputCols(plan: LogicalPlan): Seq[String] =
+    TestTables.reference.sessionState.executePlan(plan).analyzed.output.map(_.name)
 
   private val catalog = new SchemaCatalog()
     .register(TableDef("patient_info",
@@ -26,17 +35,21 @@ class StaticAnalyzerSpec extends AnyFunSuite {
         |WHERE pregnant = 1 AND PREDICT(hospital_dt) > 7""".stripMargin,
       catalog, store)
 
-    val project = res.ir.asInstanceOf[IRProject]
-    assert(project.outputCols == Seq("patient_id", "los"))
-    val scoreFilter = project.child.asInstanceOf[IRFilter]
-    assert(scoreFilter.pred.toSql == "(los > 7)")
-    val predict = scoreFilter.child.asInstanceOf[IRPredict]
-    assert(predict.pipeline.id == TestModels.handTreePipeline.id)
-    val relFilter = predict.child.asInstanceOf[IRFilter]
-    assert(relFilter.pred.toSql == "(pregnant = 1)")
-    val join2 = relFilter.child.asInstanceOf[IRJoin]
-    assert(join2.right.asInstanceOf[IRScan].table == "prenatal_tests")
-    assert(join2.left.asInstanceOf[IRJoin].right.asInstanceOf[IRScan].table == "blood_tests")
+    val project = res.ir.asInstanceOf[Project]
+    assert(project.projectList.map(_.name) == Seq("patient_id", "los"))
+    val scoreFilter = project.child.asInstanceOf[Filter]
+    assert(scoreFilter.condition.sql == "(los > 7)")
+    val predict = scoreFilter.child.asInstanceOf[Project]
+    val Seq(UnresolvedStar(None), Alias(p: PredictExpression, "los")) = predict.projectList
+    assert(p.modelId == TestModels.handTreePipeline.id && res.pipelines == Seq(TestModels.handTreePipeline))
+    assert(p.children.map(_.sql) == TestModels.handTreePipeline.inputCols)
+    val relFilter = predict.child.asInstanceOf[Filter]
+    assert(relFilter.condition.sql == "(pregnant = 1)")
+    // joins on one key name are USING joins, which keep one patient_id
+    val join2 = relFilter.child.asInstanceOf[Join]
+    assert(join2.joinType == UsingJoin(Inner, Seq("patient_id")))
+    assert(join2.right == UnresolvedRelation(Seq("prenatal_tests")))
+    assert(join2.left.asInstanceOf[Join].right == UnresolvedRelation(Seq("blood_tests")))
   }
 
   test("score column naming follows the select alias") {
@@ -44,7 +57,7 @@ class StaticAnalyzerSpec extends AnyFunSuite {
       "SELECT PREDICT(hospital_dt) AS mylos FROM patient_info " +
         "JOIN blood_tests ON patient_id = patient_id JOIN prenatal_tests ON patient_id = patient_id",
       catalog, store)
-    assert(res.ir.outputCols == Seq("mylos"))
+    assert(outputCols(res.ir) == Seq("mylos"))
   }
 
   test("predict only in WHERE still scores, with default column name") {
@@ -53,9 +66,9 @@ class StaticAnalyzerSpec extends AnyFunSuite {
         "JOIN blood_tests ON patient_id = patient_id JOIN prenatal_tests ON patient_id = patient_id " +
         "WHERE PREDICT(hospital_dt) > 7",
       catalog, store)
-    assert(res.ir.outputCols == Seq("patient_id"))
-    assert(res.ir.collectNodes.exists {
-      case IRFilter(p, _) => p.toSql == s"(${StaticAnalyzer.ScoreCol} > 7)"
+    assert(outputCols(res.ir) == Seq("patient_id"))
+    assert(res.ir.exists {
+      case Filter(p, _) => p.sql == s"(${StaticAnalyzer.ScoreCol} > 7)"
       case _ => false
     })
   }
@@ -63,7 +76,12 @@ class StaticAnalyzerSpec extends AnyFunSuite {
   test("SELECT * keeps all columns plus score") {
     val res = StaticAnalyzer.analyzeSql(
       "SELECT * FROM patient_info WHERE age > 35", catalog, store)
-    assert(res.ir.outputCols == catalog.table("patient_info").columns)
+    assert(outputCols(res.ir) == catalog.table("patient_info").columns)
+    val scored = StaticAnalyzer.analyzeSql(
+      "SELECT * FROM patient_info JOIN blood_tests ON patient_id = patient_id " +
+        "JOIN prenatal_tests ON patient_id = patient_id WHERE PREDICT(hospital_dt) > 7", catalog, store)
+    assert(outputCols(scored.ir) == Seq("patient_id", "age", "gender", "pregnant", "num_prev_admissions",
+      "hematocrit", "neutrophils", "glucose", "bmi", "pulse", "bp", "fetal_hr", "gestation_weeks", StaticAnalyzer.ScoreCol))
   }
 
   test("missing model inputs are rejected") {
@@ -95,7 +113,7 @@ class StaticAnalyzerSpec extends AnyFunSuite {
       """SELECT patient_id, PREDICT(hospital_dt) AS los FROM patient_info
         |JOIN blood_tests ON patient_id = patient_id
         |JOIN prenatal_tests ON patient_id = patient_id""".stripMargin, catalog, store)
-    val cats = res.ir.collectNodes.map(_.category).toSet
+    val cats = OpCategory.of(res.ir).toSet
     assert(cats.contains(OpCategory.RA) && cats.contains(OpCategory.MLD))
   }
 }

@@ -1,63 +1,71 @@
 package repro.core.codegen
 
+import org.apache.spark.sql.{AnalysisException, DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import org.scalatest.funsuite.AnyFunSuite
-import repro.{Oracle, SparkSpec, TestModels, TestTables}
-import repro.core.ir._
-import repro.ml.NNPipelineModel
-import repro.ml.NNTranslator
-import repro.sparkext.PredictExpression
+import repro.{Oracle, OracleSql, SparkSpec, TestModels, TestTables}
+import repro.core.analysis.{PipelineScript, StaticAnalyzer}
+import repro.ml.{ModelPipeline, NNPipelineModel, NNTranslator}
+import repro.sparkext.{PredictExpression, Raven, RavenRuntime}
 
+/** The analyzers' Catalyst plans run through `Raven.run`, checked against
+  * the DuckDB oracle, the pipelines' own `predictRaw` and the NN runtime.
+  */
 class CodegenSpec extends AnyFunSuite with SparkSpec {
 
   private lazy val tables = TestTables.tables(spark)
   private val catalog = TestTables.hospitalCatalog
+  private val store: String => ModelPipeline =
+    Map("hand_dt" -> TestModels.handTreePipeline, "mlp" -> TestModels.hospitalMlpPipeline)
 
-  private def scan(t: String) = IRScan(t, catalog.table(t).columns)
+  private def analyze(sql: String) = StaticAnalyzer.analyzeSql(sql, catalog, store)
+
+  private def run(plan: LogicalPlan, pipelines: Seq[ModelPipeline], s: SparkSession = spark): DataFrame = {
+    tables // temp views on the shared session
+    Raven.run(s, plan, pipelines)
+  }
+
+  private def run(a: StaticAnalyzer.SqlAnalysis): DataFrame = run(a.ir, a.pipelines)
+
+  private def script(body: String, udfs: PipelineScript.UdfRegistry = new PipelineScript.UdfRegistry) =
+    PipelineScript.analyze(body, catalog, store, udfs).plans.head
 
   test("scan + filter + project lowers correctly (oracle-checked)") {
-    val ir = IRProject(
-      Seq(NamedExpr("patient_id", ColRef("patient_id")), NamedExpr("age", ColRef("age"))),
-      IRFilter(And(Cmp(">", ColRef("age"), NumLit(40)), Cmp("=", ColRef("gender"), StrLit("F"))),
-        scan("patient_info")))
-    val df = RuntimeCodeGenerator.toDataFrame(ir, tables)
-    val sql = RuntimeCodeGenerator.toSql(ir).get
-    Oracle.assertEquivalent(df, sql, "patient_info" -> tables("patient_info"))
+    val a = analyze("SELECT patient_id, age FROM patient_info WHERE age > 40 AND gender = 'F'")
+    Oracle.assertEquivalent(run(a), OracleSql.toSql(a.ir, a.pipelines).get, "patient_info" -> tables("patient_info"))
   }
 
   test("join lowers correctly with shared key name (oracle-checked)") {
-    val ir = IRProject(
-      Seq(NamedExpr("patient_id", ColRef("patient_id")), NamedExpr("bp", ColRef("bp")),
-        NamedExpr("age", ColRef("age"))),
-      IRJoin(scan("patient_info"), scan("prenatal_tests"), "patient_id", "patient_id"))
-    val df = RuntimeCodeGenerator.toDataFrame(ir, tables)
-    val sql = RuntimeCodeGenerator.toSql(ir).get
-    Oracle.assertEquivalent(df, sql,
+    val a = analyze("SELECT patient_id, bp, age FROM patient_info " +
+      "JOIN prenatal_tests ON patient_info.patient_id = prenatal_tests.patient_id")
+    Oracle.assertEquivalent(run(a), OracleSql.toSql(a.ir, a.pipelines).get,
       "patient_info" -> tables("patient_info"), "prenatal_tests" -> tables("prenatal_tests"))
   }
 
   test("join output columns dedup the right key") {
-    val ir = IRJoin(scan("patient_info"), scan("blood_tests"), "patient_id", "patient_id")
-    val df = RuntimeCodeGenerator.toDataFrame(ir, tables)
+    val p = script(
+      """a = read("patient_info")
+        |b = read("blood_tests")
+        |j = join(a, b, "patient_id")""".stripMargin)
+    val df = run(p.ir, p.pipelines)
     assert(df.columns.count(_ == "patient_id") == 1)
-    assert(df.columns.toSeq == ir.outputCols)
+    assert(df.columns.toSeq == catalog.table("patient_info").columns ++ catalog.table("blood_tests").columns.tail)
   }
 
-  private def predictsIn(df: org.apache.spark.sql.DataFrame): Seq[PredictExpression] =
+  private def predictsIn(df: DataFrame): Seq[PredictExpression] =
     df.queryExecution.optimizedPlan.flatMap(_.expressions.flatMap(_.collect { case p: PredictExpression => p }))
 
   test("inline-predict lowers to a scalar expression (oracle-checked)") {
-    // Raven's rules inline the lowered predict of a small tree; toSql renders it as CASE
-    val ir = IRProject(
-      Seq(NamedExpr("patient_id", ColRef("patient_id")), NamedExpr("c", ColRef("c"))),
-      IRPredict("c", TestModels.handTreePipeline, scan("patients_all")))
-    val df = RuntimeCodeGenerator.toDataFrame(ir, TestTables.optimized)
+    // Raven's rules inline the predict of a small tree; the oracle renders it as CASE
+    val a = analyze("SELECT patient_id, PREDICT(hand_dt) AS c FROM patients_all")
+    val df = run(a.ir, a.pipelines, TestTables.optimized)
     assert(predictsIn(df).isEmpty)
-    Oracle.assertEquivalent(df, RuntimeCodeGenerator.toSql(ir).get, "patients_all" -> tables("patients_all"))
+    Oracle.assertEquivalent(df, OracleSql.toSql(a.ir, a.pipelines).get, "patients_all" -> tables("patients_all"))
   }
 
   test("predict lowers to raven_predict and matches driver predictions") {
-    val ir = IRPredict("score", TestModels.handTreePipeline, scan("patients_all"))
-    val df = RuntimeCodeGenerator.toDataFrame(ir, Map("patients_all" -> tables("patients_all")))
+    val a = analyze("SELECT *, PREDICT(hand_dt) AS score FROM patients_all")
+    val df = run(a)
     assert(predictsIn(df).map(_.modelId) == Seq(TestModels.handTreePipeline.id))
     val got = df.select("patient_id", "score").collect()
       .map(r => r.getLong(0) -> r.getDouble(1)).toMap
@@ -68,37 +76,38 @@ class CodegenSpec extends AnyFunSuite with SparkSpec {
       }
     }
     // only a scaler-free tree or forest has a CASE form
-    assert(RuntimeCodeGenerator.toSql(ir.copy(pipeline = TestModels.hospitalMlpPipeline)).isEmpty)
+    val mlp = analyze("SELECT *, PREDICT(mlp) AS score FROM patients_all")
+    assert(OracleSql.toSql(mlp.ir, mlp.pipelines).isEmpty)
   }
 
   test("NN-predict lowers and matches the classical pipeline within float32") {
     val mp = TestModels.handTreePipeline
     val nn = NNPipelineModel(NNTranslator.translatePipeline(mp), mp.pipeline)
-    val ir = IRNNPredict("score", nn, scan("patients_all"))
-    val df = RuntimeCodeGenerator.toDataFrame(ir, Map("patients_all" -> tables("patients_all")))
-    val classical = RuntimeCodeGenerator.toDataFrame(
-      IRPredict("score", mp, scan("patients_all")), Map("patients_all" -> tables("patients_all")))
+    val df = RavenRuntime.predictNNBatch(run(analyze("SELECT * FROM patients_all")), nn, "score")
+    val classical = run(analyze("SELECT *, PREDICT(hand_dt) AS score FROM patients_all"))
     TestTables.assertSameRows(
       df.select("patient_id", "score"), classical.select("patient_id", "score"), eps = 1e-3)
   }
 
   test("UDF lowers via the fallback row runtime") {
-    val ir = IRUdf("double_age", "age2", Seq("age"), r => r(0).asInstanceOf[Int] * 2.0,
-      scan("patient_info"))
-    val df = RuntimeCodeGenerator.toDataFrame(ir, tables)
-    df.select("age", "age2").collect().foreach { r =>
+    val udfs = new PipelineScript.UdfRegistry().register("double_age", r => r(1).asInstanceOf[Int] * 2.0)
+    val p = script(
+      """df = read("patient_info")
+        |df = double_age(df)""".stripMargin, udfs)
+    val df = run(p.ir, p.pipelines)
+    df.select("age", "double_age_out").collect().foreach { r =>
       assert(r.getDouble(1) == r.getInt(0) * 2.0)
     }
   }
 
   test("unknown table binding fails fast") {
-    assertThrows[IllegalArgumentException] {
-      RuntimeCodeGenerator.toDataFrame(scan("patient_info"), Map.empty[String, org.apache.spark.sql.DataFrame])
-    }
+    // tables resolve from the session's catalog when the plan runs
+    val plan = StaticAnalyzer.analyzeSql("SELECT * FROM patient_info", catalog, store).ir
+    assertThrows[AnalysisException](Raven.run(SparkSpec.shared.newSession(), plan, Nil))
   }
 
   test("temp-view resolution works") {
-    val df = RuntimeCodeGenerator.toDataFrame(scan("patient_info"), spark)
+    val df = run(analyze("SELECT * FROM patient_info"))
     assert(df.count() == TestTables.HospitalN)
   }
 }

@@ -1,48 +1,32 @@
 package repro.core.ir
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestModels
+import repro.core.analysis.{PipelineScript, StaticAnalyzer}
 
 class IRSpec extends AnyFunSuite {
 
-  private val scan = IRScan("t", Seq("a", "b", "c"))
-
-  test("ScalarExpr renders portable SQL") {
-    assert(Cmp("<", ColRef("a"), NumLit(3.5)).toSql == "(a < 3.5)")
-    assert(Cmp("=", ColRef("a"), NumLit(3.0)).toSql == "(a = 3)")
-    assert(Cmp("=", ColRef("c"), StrLit("x'y")).toSql == "(c = 'x''y')")
-    assert(And(Cmp(">", ColRef("a"), NumLit(1)), Cmp("<>", ColRef("b"), NumLit(2))).toSql == "((a > 1) AND (b <> 2))")
-  }
-
-  test("conjunction joins predicates with AND") {
-    val cs = Seq(Cmp("=", ColRef("a"), NumLit(1)), Cmp("=", ColRef("b"), NumLit(2)), Cmp("=", ColRef("c"), NumLit(3)))
-    assert(ScalarExpr.conjunction(cs).get.toSql == "(((a = 1) AND (b = 2)) AND (c = 3))")
-    assert(ScalarExpr.conjunction(Nil).isEmpty)
-  }
-
-  test("IR output columns propagate through operators") {
-    val f = IRFilter(Cmp(">", ColRef("a"), NumLit(1)), scan)
-    assert(f.outputCols == Seq("a", "b", "c"))
-    val p = IRProject(Seq(NamedExpr("x", ColRef("a"))), f)
-    assert(p.outputCols == Seq("x"))
-    val j = IRJoin(scan, IRScan("u", Seq("k", "d")), "a", "k")
-    assert(j.outputCols == Seq("a", "b", "c", "d")) // right key always dropped (equals left key)
-    val j2 = IRJoin(scan, IRScan("u", Seq("a", "d")), "a", "a")
-    assert(j2.outputCols == Seq("a", "b", "c", "d"))
-  }
-
   test("categories match the paper's operator classes") {
-    assert(scan.category == OpCategory.RA)
-    val udf = IRUdf("f", "out", Seq("a"), _ => 1.0, scan)
-    assert(udf.category == OpCategory.UDF)
-    assert(udf.outputCols.last == "out")
-  }
-
-  test("treeString and describe render the plan") {
-    val plan = IRProject(Seq(NamedExpr("a", ColRef("a"))),
-      IRFilter(Cmp(">", ColRef("a"), NumLit(1)), scan))
-    val s = plan.treeString
-    assert(s.contains("Project") && s.contains("Filter((a > 1))") && s.contains("Scan(t"))
-    assert(plan.collectNodes.size == 3)
+    val catalog = new SchemaCatalog()
+      .register(TableDef("t", Seq("patient_id", "age", "gender", "pregnant", "num_prev_admissions", "hematocrit",
+        "neutrophils", "glucose", "bmi", "pulse", "bp", "fetal_hr", "gestation_weeks")))
+    val store = Map("m" -> TestModels.handTreePipeline)
+    val scan = StaticAnalyzer.analyzeSql("SELECT * FROM t", catalog, store).ir
+    assert(OpCategory.of(scan) == Seq(OpCategory.RA))
+    // the Fig. 1 shape: relational nodes and one model invocation
+    val fig1 = StaticAnalyzer.analyzeSql("SELECT patient_id, PREDICT(m) AS los FROM t WHERE pregnant = 1 AND PREDICT(m) > 7",
+      catalog, store).ir
+    assert(OpCategory.of(fig1).toSet == Set(OpCategory.RA, OpCategory.MLD))
+    assert(OpCategory.of(fig1).count(_ == OpCategory.MLD) == 1)
+    // a PyLite script's unknown call is one UDF operator
+    val udf = PipelineScript.analyze(
+      """df = read("t")
+        |df = df[df.age > 35]
+        |m = load_model("m")
+        |df = m.predict(df)
+        |df = normalize(df)""".stripMargin, catalog, store).plans.head.ir
+    assert(OpCategory.of(udf).toSet == Set(OpCategory.RA, OpCategory.MLD, OpCategory.UDF))
+    assert(OpCategory.of(udf).count(_ == OpCategory.UDF) == 1)
   }
 
   test("SchemaCatalog registration, lookup, and FK integrity") {

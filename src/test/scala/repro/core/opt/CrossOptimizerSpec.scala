@@ -1,21 +1,22 @@
 package repro.core.opt
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.catalyst.expressions.Expression
+import org.apache.spark.sql.catalyst.analysis.UnresolvedAttribute
+import org.apache.spark.sql.catalyst.expressions.{Expression, GreaterThan, Literal}
 import org.apache.spark.sql.catalyst.plans.logical.{Filter, Join, LeafNode, LogicalPlan}
 import org.apache.spark.sql.execution.FileSourceScanExec
 import org.scalatest.funsuite.AnyFunSuite
-import repro.{Oracle, SparkSpec, TestModels, TestTables}
-import repro.core.analysis.StaticAnalyzer
-import repro.core.codegen.RuntimeCodeGenerator
+import repro.{Oracle, OracleSql, SparkSpec, TestModels, TestTables}
+import repro.core.analysis.{PipelineScript, StaticAnalyzer}
+import repro.core.analysis.StaticAnalyzer.SqlAnalysis
 import repro.core.ir._
 import repro.ml._
-import repro.sparkext.{InlinedTrees, ModelRegistry, PredictExpression, Raven, RavenRules}
+import repro.sparkext.{InlinedTrees, ModelRegistry, PredictExpression, Raven, RavenRules, RavenRuntime}
 
-/** The rewrites Catalyst applies to the lowered IR, Spark's relational ones
-  * and Raven's model rules alike: the tests assert on Spark's optimized plan
-  * of the lowered query. Join elimination is checked on the parquet tables,
-  * whose base relations name declared tables.
+/** The rewrites Catalyst applies to the analyzers' plans, Spark's relational
+  * ones and Raven's model rules alike: the tests assert on Spark's optimized
+  * plan of the analyzed query. Join elimination is checked on the parquet
+  * tables, whose base relations name declared tables.
   */
 class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
 
@@ -38,17 +39,22 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
       |JOIN prenatal_tests ON patient_info.patient_id = prenatal_tests.patient_id
       |WHERE pregnant = 1 AND PREDICT(hospital_dt) > 7""".stripMargin
 
-  private def fig1Ir: IRNode = StaticAnalyzer.analyzeSql(fig1Sql, catalog, store).ir
+  private def analyze(sql: String): SqlAnalysis = StaticAnalyzer.analyzeSql(sql, catalog, store)
+
+  private def fig1Ir: SqlAnalysis = analyze(fig1Sql)
 
   private def fig0Sql = fig1Sql.replace("pregnant = 1", "pregnant = 0")
 
-  /** The plan lowered to a session's temp views; by default the Raven-optimized session. */
-  private def run(ir: IRNode, session: SparkSession = TestTables.optimized): DataFrame =
-    RuntimeCodeGenerator.toDataFrame(ir, session)
+  /** The plan run on a session's temp views; by default the Raven-optimized session. */
+  private def run(plan: LogicalPlan, pipelines: Seq[ModelPipeline], session: SparkSession): DataFrame =
+    Raven.run(session, plan, pipelines)
 
-  /** Spark's optimized plan of the lowered query. */
-  private def sparkPlan(ir: IRNode, session: SparkSession = TestTables.optimized): LogicalPlan =
-    run(ir, session).queryExecution.optimizedPlan
+  private def run(a: SqlAnalysis, session: SparkSession = TestTables.optimized): DataFrame =
+    run(a.ir, a.pipelines, session)
+
+  /** Spark's optimized plan of the analyzed query. */
+  private def sparkPlan(a: SqlAnalysis, session: SparkSession = TestTables.optimized): LogicalPlan =
+    run(a, session).queryExecution.optimizedPlan
 
   private def predictsIn(plan: LogicalPlan): Seq[PredictExpression] =
     plan.flatMap(_.expressions.flatMap(_.collect { case p: PredictExpression => p }))
@@ -60,7 +66,7 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
     plan.collect { case Filter(c, _: LeafNode) => c.toString.replaceAll("#\\d+L?", "") }
 
   test("filter pushdown moves pregnant=1 to the patient_info side of the joins") {
-    // Catalyst's pushdown on the lowered plan; the score predicate, which reads
+    // Catalyst's pushdown on the analyzed plan; the score predicate, which reads
     // the predict, stays at the join that brings the model's inputs together
     val plan = sparkPlan(fig1Ir, TestTables.parquetOptimized)
     assert(scanFilters(plan).exists(c => c.contains("(pregnant = 1)") && !c.contains("raven")), s"plan:\n$plan")
@@ -73,17 +79,18 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("filter pushdown merges stacked filters") {
-    val ir = IRFilter(Cmp("<", ColRef("age"), NumLit(50)),
-      IRFilter(Cmp(">", ColRef("age"), NumLit(20)), IRScan("patient_info", catalog.table("patient_info").columns)))
-    val plan = sparkPlan(ir, TestTables.parquetOptimized)
+    val stacked = PipelineScript.analyze(
+      """df = read("patient_info")
+        |df = df[df.age > 20]
+        |df = df[df.age < 50]""".stripMargin, catalog, store).plans.head.ir
+    val plan = run(stacked, Nil, TestTables.parquetOptimized).queryExecution.optimizedPlan
     assert(plan.collect { case f: Filter => f }.size == 1 && scanFilters(plan).size == 1, s"plan:\n$plan")
   }
 
   test("filter pushdown renames through project aliases") {
-    val ir = IRFilter(Cmp(">", ColRef("years"), NumLit(30)),
-      IRProject(Seq(NamedExpr("years", ColRef("age")), NamedExpr("patient_id", ColRef("patient_id"))),
-        IRScan("patient_info", catalog.table("patient_info").columns)))
-    val plan = sparkPlan(ir, TestTables.parquetOptimized)
+    val renamed = analyze("SELECT age AS years, patient_id FROM patient_info").ir
+    val ir = Filter(GreaterThan(UnresolvedAttribute.quoted("years"), Literal(30)), renamed)
+    val plan = run(ir, Nil, TestTables.parquetOptimized).queryExecution.optimizedPlan
     assert(scanFilters(plan).exists(_.contains("(age > 30)")), s"plan:\n$plan")
   }
 
@@ -99,7 +106,7 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
 
   test("pruning + projection pushdown drop unused raw columns (pregnant=0 needs no bp)") {
     TestTables.withRules(noInlining) {
-      val predicts = predictsIn(sparkPlan(StaticAnalyzer.analyzeSql(fig0Sql, catalog, store).ir))
+      val predicts = predictsIn(sparkPlan(analyze(fig0Sql)))
       // pregnant=0 branch of the hand tree uses only age
       assert(predicts.nonEmpty && predicts.forall(p => ModelRegistry.get(p.modelId).inputCols == Seq("age")))
       assert(predicts.forall(_.children.size == 1))
@@ -110,14 +117,14 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
     val sql = """SELECT patient_id, bp FROM patient_info
                 |JOIN prenatal_tests ON patient_info.patient_id = prenatal_tests.patient_id
                 |WHERE age > 40""".stripMargin
-    val df = run(StaticAnalyzer.analyzeSql(sql, catalog, store).ir, TestTables.parquetOptimized)
+    val df = run(analyze(sql), TestTables.parquetOptimized)
     val scans = df.queryExecution.sparkPlan.collect { case s: FileSourceScanExec => s.requiredSchema.fieldNames.toSeq }
     assert(scans.toSet == Set(Seq("patient_id", "age"), Seq("patient_id", "bp")), s"scans: $scans")
   }
 
   test("join elimination drops FK joins that contribute nothing (pregnant=0: no prenatal columns)") {
     TestTables.withIntegrity() {
-      val plan = sparkPlan(StaticAnalyzer.analyzeSql(fig0Sql, catalog, store).ir, TestTables.parquetOptimized)
+      val plan = sparkPlan(analyze(fig0Sql), TestTables.parquetOptimized)
       // the pruned model reads only age, so blood_tests and prenatal_tests supply nothing
       assert(joinsIn(plan) == 0, s"plan:\n$plan")
       assert(!plan.flatMap(_.output).map(_.name).exists(Set("bp", "hematocrit")))
@@ -130,7 +137,7 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
     val sql = """SELECT patient_id, age FROM patient_info
                 |JOIN prenatal_tests ON patient_info.patient_id = prenatal_tests.patient_id""".stripMargin
     def joins(c: SchemaCatalog) = TestTables.withIntegrity(c) {
-      joinsIn(sparkPlan(StaticAnalyzer.analyzeSql(sql, c, store).ir, TestTables.parquetOptimized))
+      joinsIn(sparkPlan(StaticAnalyzer.analyzeSql(sql, c, store), TestTables.parquetOptimized))
     }
     assert(joins(noFk) == 1)
     assert(joins(catalog) == 0)
@@ -150,27 +157,19 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
     val unfiltered = rf10.substring(0, rf10.indexOf("WHERE"))
     // unpruned and pruned for pregnant = 1
     for (sql <- Seq(unfiltered, rf10)) {
-      val plan = sparkPlan(StaticAnalyzer.analyzeSql(sql, catalog, store).ir)
+      val plan = sparkPlan(analyze(sql))
       assert(predictsIn(plan).isEmpty && plan.exists(_.expressions.exists(_.exists(_.isInstanceOf[InlinedTrees]))),
         s"plan:\n$plan")
     }
     // a scaler sits between the features and the trees: a per-row predict
-    val scaled = sparkPlan(StaticAnalyzer.analyzeSql(unfiltered.replace("rf10", "rf10_scaled"), catalog, store).ir)
+    val scaled = sparkPlan(analyze(unfiltered.replace("rf10", "rf10_scaled")))
     assert(predictsIn(scaled).map(_.modelId) == Seq("hospital_rf10_scaled"), s"plan:\n$scaled")
-  }
-
-  test("NN translation replaces Predict with an LA operator") {
-    val plan = CrossOptimizer.NNTranslation(fig1Ir)
-    val nn = plan.collectNodes.collectFirst { case p: IRNNPredict => p }
-    assert(nn.isDefined)
-    assert(nn.get.category == OpCategory.LA)
   }
 
   // ---- end-to-end semantics ------------------------------------------------
 
-  /** The unoptimized IR lowered to the session without Raven's rules. */
-  private def baselineOf(sql: String): DataFrame =
-    run(StaticAnalyzer.analyzeSql(sql, catalog, store).ir, TestTables.reference)
+  /** The analyzed plan run on the session without Raven's rules. */
+  private def baselineOf(sql: String): DataFrame = run(analyze(sql), TestTables.reference)
 
   test("optimized plans return identical results to the unoptimized plan") {
     val baseline = baselineOf(fig1Sql)
@@ -179,11 +178,17 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
     TestTables.withRules(noInlining) {
       TestTables.assertSameRows(baseline, run(fig1Ir))
     }
-    TestTables.assertSameRows(baseline, run(CrossOptimizer.NNTranslation(fig1Ir)), eps = 1e-4)
+    // the NN-translated pipeline scores the cohort the query's relational filter selects
+    val mp = TestModels.handTreePipeline
+    val nn = NNPipelineModel(NNTranslator.translatePipeline(mp), mp.pipeline)
+    val cohort = run(analyze(fig1Sql.replace("patient_id, PREDICT(hospital_dt) AS los", "*")
+      .replace(" AND PREDICT(hospital_dt) > 7", "")))
+    TestTables.assertSameRows(baseline,
+      RavenRuntime.predictNNBatch(cohort, nn, "los").where("los > 7").select("patient_id", "los"), eps = 1e-4)
   }
 
   test("pregnant=0 variant (join eliminated) returns identical results") {
-    val ir = StaticAnalyzer.analyzeSql(fig0Sql.replace("> 7", "> 3"), catalog, store).ir
+    val ir = analyze(fig0Sql.replace("> 7", "> 3"))
     val baseline = run(ir, TestTables.parquetReference)
     assert(baseline.count() > 0)
     TestTables.withIntegrity() {
@@ -197,7 +202,7 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
     val df = run(fig1Ir)
     assert(predictsIn(df.queryExecution.optimizedPlan).isEmpty, "the model must be inlined")
     // the reference: the unoptimized query, with the original model as CASE
-    val sqlRef = RuntimeCodeGenerator.toSql(fig1Ir)
+    val sqlRef = OracleSql.toSql(fig1Ir.ir, fig1Ir.pipelines)
     assert(sqlRef.isDefined, "a tree predict must render as portable SQL")
     val tables = TestTables.tables(spark)
     Oracle.assertEquivalent(
@@ -210,7 +215,7 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
 
   test("flight query: categorical predicate prunes the one-hot block and enables projection") {
     val sql = "SELECT flight_id, PREDICT(flight_lr) AS p FROM flights WHERE dest = 'AP00'"
-    val ir = StaticAnalyzer.analyzeSql(sql, catalog, store).ir
+    val ir = analyze(sql)
     val predicts = predictsIn(sparkPlan(ir))
     assert(predicts.nonEmpty)
     val derived = ModelRegistry.get(predicts.head.modelId)

@@ -1,7 +1,7 @@
 package repro.ml
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestModels
+import repro.{OracleSql, TestModels}
 
 class DecisionTreeSpec extends AnyFunSuite {
 
@@ -72,14 +72,14 @@ class DecisionTreeSpec extends AnyFunSuite {
 
   test("toCaseSql renders nested CASE with thresholds") {
     val names = (0 until TestModels.handTree.numFeatures).map(i => s"f$i")
-    val sql = TestModels.handTree.toCaseSql(names.toIndexedSeq)
+    val sql = OracleSql.toCaseSql(TestModels.handTree, names.toIndexedSeq)
     assert(sql.contains("CASE WHEN f1 < 0.5"))
     assert(sql.contains("f8 < 140.0"))
     assert(sql.contains("CAST(10.0 AS DOUBLE)"))
   }
 
   test("toCaseSql arity check") {
-    assertThrows[IllegalArgumentException](TestModels.handTree.toCaseSql(IndexedSeq("a")))
+    assertThrows[IllegalArgumentException](OracleSql.toCaseSql(TestModels.handTree, IndexedSeq("a")))
   }
 
   test("forest averages trees and aggregates usedFeatures") {

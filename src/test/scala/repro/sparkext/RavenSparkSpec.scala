@@ -1,10 +1,10 @@
 package repro.sparkext
 
-import org.apache.spark.sql.{AnalysisException, DataFrame, SparkSession}
+import org.apache.spark.sql.{AnalysisException, DataFrame, SparkSession, functions}
 import org.apache.spark.sql.catalyst.plans.logical.{Join, LogicalPlan}
 import org.scalatest.BeforeAndAfterEach
 import org.scalatest.funsuite.AnyFunSuite
-import repro.{Oracle, SparkSpec, TestModels, TestTables}
+import repro.{Oracle, OracleSql, SparkSpec, TestModels, TestTables}
 import repro.core.ir.{ForeignKey, SchemaCatalog}
 import repro.data.HospitalData
 import repro.ml._
@@ -85,6 +85,23 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
       def rows(s: SparkSession): DataFrame = { s.read.parquet(path).createOrReplaceTempView("bigint_l"); s.sql(sql) }
       val reference = rows(TestTables.reference)
       assert(reference.collect().map(_.getDouble(1)).toSet == Set(1.0, 2.0))
+      TestTables.assertSameRows(rows(TestTables.optimized), reference, eps = 0.0)
+    } finally org.apache.spark.network.util.JavaUtils.deleteRecursively(dir.toFile)
+  }
+
+  test("a string cast of a number licenses no category: CAST(m AS STRING) = '1.50' on DECIMAL 1.50") {
+    val dir = java.nio.file.Files.createTempDirectory("raven-decimal")
+    try {
+      val path = dir.resolve("m").toString
+      spark.range(1).selectExpr("id", "CAST(1.50 AS DECIMAL(4,2)) AS m").coalesce(1).write.parquet(path)
+      // the model reads the DECIMAL as the double 1.5, category "1.5": 1.0; category "1.50" would give 2.0
+      val mp = ModelPipeline("decimal_cat", FeaturePipeline(Nil, Seq(OneHotEncoder("m", IndexedSeq("1.5", "1.50")))), None,
+        DecisionTreeModel(Split(1, 0.5, Leaf(1.0), Leaf(2.0)), 2, isClassifier = false))
+      Raven.deploy(mp)
+      val sql = s"SELECT id, ${Raven.predictSql(mp.id)} AS s FROM decimal_m WHERE CAST(m AS STRING) = '1.50'"
+      def rows(s: SparkSession): DataFrame = { s.read.parquet(path).createOrReplaceTempView("decimal_m"); s.sql(sql) }
+      val reference = rows(TestTables.reference)
+      assert(reference.collect().map(_.getDouble(1)).toSeq == Seq(1.0))
       TestTables.assertSameRows(rows(TestTables.optimized), reference, eps = 0.0)
     } finally org.apache.spark.network.util.JavaUtils.deleteRecursively(dir.toFile)
   }
@@ -387,8 +404,8 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
       val df = spark.sql(query)
       assert(predictsIn(df.queryExecution.optimizedPlan).isEmpty, "should be fully inlined")
       // oracle: same tree as portable CASE SQL over the same tables
-      val featureExprs = DecisionTree.featureSqlExprs(HospitalData.pipeline)
-      val caseSql = TestModels.handTree.toCaseSql(featureExprs)
+      val featureExprs = OracleSql.featureSqlExprs(HospitalData.pipeline)
+      val caseSql = OracleSql.toCaseSql(TestModels.handTree, featureExprs)
       Oracle.assertEquivalent(
         df,
         s"""SELECT p.patient_id AS patient_id, ($caseSql) AS score
@@ -412,6 +429,33 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
       "gestation_weeks" -> "t.gestation_weeks", "gender" -> "p.gender")
     val args = HospitalData.pipeline.inputCols.map(colSource)
     s"raven_predict('${TestModels.handTreePipeline.id}', ${args.mkString(", ")})"
+  }
+
+  test("predictNNBatch scores as per-row raven_predict within float32, with a NULL number and an unseen category") {
+    val dir = java.nio.file.Files.createTempDirectory("raven-nn")
+    try {
+      // each table's first rows, and copies of two of them: one with a NULL number, one with an unseen category
+      def odd(table: String, key: String, num: String, cat: String, unseen: String): String = {
+        val path = dir.resolve(table).toString
+        val rows = tables(table).where(s"$key < 300")
+        val copy = (k: Long) => functions.col(key) + k
+        rows.unionByName(rows.where(s"$key = 1").withColumn(key, copy(100000)).withColumn(num, functions.lit(null)))
+          .unionByName(rows.where(s"$key = 2").withColumn(key, copy(100001)).withColumn(cat, functions.lit(unseen)))
+          .coalesce(1).write.parquet(path)
+        path
+      }
+      val hospital = odd("patients_all", "patient_id", "age", "gender", "X")
+      val flights = odd("flights", "flight_id", "dep_hour", "airline", "ZZ")
+      for ((mp, path, key) <- Seq((TestModels.handTreePipeline, hospital, "patient_id"),
+          (TestModels.hospitalForestPipeline, hospital, "patient_id"), (TestModels.flightLrPipeline, flights, "flight_id"))) {
+        Raven.deploy(mp)
+        val in = TestTables.reference.read.parquet(path)
+        assert(in.where(s"$key >= 100000").count() == 2)
+        val nn = NNPipelineModel(NNTranslator.translatePipeline(mp), mp.pipeline)
+        TestTables.assertSameRows(RavenRuntime.predictNNBatch(in, nn, "score").select(key, "score"),
+          in.selectExpr(key, s"${Raven.predictSql(mp.id)} AS score"), eps = 1e-4)
+      }
+    } finally org.apache.spark.network.util.JavaUtils.deleteRecursively(dir.toFile)
   }
 
   test("batched runtime predictions equal per-row expression predictions") {
