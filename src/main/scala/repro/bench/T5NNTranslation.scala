@@ -2,9 +2,7 @@ package repro.bench
 
 import repro.bench.BenchUtil._
 import repro.data.HospitalData
-import repro.linalg.Tensor
-import repro.ml.NNTranslator
-import repro.onnx.Session
+import repro.ml.{NNPipelineModel, NNTranslator}
 import repro.runtime.SimGpu
 
 /** Table 5 — NN translation (Fig. 2(d)).
@@ -13,6 +11,9 @@ import repro.runtime.SimGpu
   * scikit-learn RF at 1K tuples, the gap closing as size grows; RF-NN on
   * a K80 GPU ~10% faster than CPU at 1K and up to ~15× over scikit-learn
   * at 1M tuples (the parallel device wins with utilization).
+  *
+  * Every path scores raw rows; the graph is the whole pipeline's (§4.2),
+  * fed by `NNPipelineModel` on the CPU and on the GPU.
   *
   * GPU substitution (no device in this container): the same LA graph
   * executed with row-parallel kernels across all cores plus a simulated
@@ -29,19 +30,17 @@ object T5NNTranslation {
 
   def run(sizes: Seq[Int] = Seq(1000, 10000, 100000, 300000)): BenchTable = {
     val mp = BenchModels.hospitalForestPipeline
-    val graph = NNTranslator.translateModel(BenchModels.hospitalForest, "t5_rf")
-    val cpu = new Session(graph)
-    val gpu = new SimGpu.GpuSession(graph)
+    val nn = NNPipelineModel(NNTranslator.translatePipeline(mp), mp.pipeline)
+    val gpu = new SimGpu.GpuSession(nn.graph)
 
     val maxN = sizes.max
-    val allRaw = HospitalData.localJoined(maxN, seed = 91).map(HospitalData.rawValues)
-    val allFeats = allRaw.map(mp.pipeline.transform)
+    val allRaw = HospitalData.localJoined(maxN, seed = 91).map(HospitalData.rawValues).toIndexedSeq
 
     // correctness: the three paths agree (float32 tolerance)
-    val check = allFeats.take(2000)
-    val a = check.map(BenchModels.hospitalForest.predict)
-    val b = cpu.predictBatch(check)
-    val c = new SimGpu.GpuSession(graph, SimGpu.GpuSpec(kernelLaunchMicros = 0.0)).predictBatch(check)
+    val check = allRaw.take(2000)
+    val a = mp.predictRawBatch(check)
+    val b = nn.predictRawBatch(check)
+    val c = gpu.run(nn.feeds(check)).data
     a.indices.foreach { i =>
       require(math.abs(a(i) - b(i)) < 1e-3 && b(i) == c(i), s"paths diverged at $i: ${a(i)} ${b(i)} ${c(i)}")
     }
@@ -51,11 +50,9 @@ object T5NNTranslation {
       val reps = if (n >= 300000) 2 else 3
       // every path pays featurization: the paper translates the END-TO-END
       // pipeline, so featurize+infer is the measured unit on all sides
-      def featurize(): Array[Array[Double]] = raw.map(mp.pipeline.transform)
       val tRf = timeMillis(warmup = 1, reps = reps)(mp.predictRawBatch(raw))
-      val tCpu = timeMillis(warmup = 1, reps = reps)(cpu.run(Tensor.ofDoubleRows(featurize())))
-      val tGpu = timeMillis(warmup = 1, reps = reps)(
-        gpu.run(Map(NNTranslator.InputName -> Tensor.ofDoubleRows(featurize()))))
+      val tCpu = timeMillis(warmup = 1, reps = reps)(nn.predictRawBatch(raw))
+      val tGpu = timeMillis(warmup = 1, reps = reps)(gpu.run(nn.feeds(raw)))
       Seq(n.toString, fmt(tRf), fmt(tCpu), fmt(tGpu),
         fmtX(tRf / tCpu), fmtX(tRf / tGpu), fmtX(tCpu / tGpu))
     }

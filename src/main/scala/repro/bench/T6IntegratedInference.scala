@@ -50,7 +50,8 @@ object T6IntegratedInference {
     )
 
     setups.map { s =>
-      // session cache for the in-process path: one NN instance per JVM
+      // session cache for the in-process path: predictNNBatch broadcasts the
+      // one NN instance, so its session serves every task of every query
       val cachedNn = s.nn
       val rows = sizes.map { n =>
         val csv =

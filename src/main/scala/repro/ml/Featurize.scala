@@ -92,6 +92,7 @@ final case class FeaturePipeline(
     * vocabulary lookup an ONNX-ML LabelEncoder would perform in-graph).
     */
   def toGraphFeeds(raw: IndexedSeq[Any]): Array[Double] = {
+    require(raw.size == inputCols.size, s"expected ${inputCols.size} values, got ${raw.size}")
     val out = new Array[Double](inputCols.size)
     var i = 0
     while (i < numCount) { out(i) = toDouble(raw(i)); i += 1 }

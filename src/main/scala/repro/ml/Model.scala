@@ -15,8 +15,6 @@ trait Model extends Serializable {
 
   /** Feature indices that can influence the prediction. */
   def usedFeatures: Set[Int]
-
-  def predictBatch(xs: Array[Array[Double]]): Array[Double] = xs.map(predict)
 }
 
 /** Linear or logistic model. `logistic = true` applies a sigmoid. */

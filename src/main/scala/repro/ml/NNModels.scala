@@ -5,7 +5,7 @@ import repro.onnx.{GraphDef, Session}
 
 /** A whole NN-translated pipeline: raw rows in, predictions out. Feeds the
   * graph one column at a time (numerics as-is, categoricals as vocabulary
-  * indices).
+  * indices). Every NN path turns rows into feeds here, the GPU's included.
   */
 final case class NNPipelineModel(graph: GraphDef, pipeline: FeaturePipeline) extends Serializable {
 
@@ -15,13 +15,13 @@ final case class NNPipelineModel(graph: GraphDef, pipeline: FeaturePipeline) ext
 
   def predictRawBatch(rows: IndexedSeq[IndexedSeq[Any]]): Array[Double] = {
     if (rows.isEmpty) return Array.empty
-    val feeds = buildFeeds(rows)
-    val out = session.run(feeds)
+    val out = session.run(feeds(rows))
     require(out.cols == 1, s"${graph.name}: expected single output column")
     out.data.map(_.toDouble)
   }
 
-  private def buildFeeds(rows: IndexedSeq[IndexedSeq[Any]]): Map[String, Tensor] = {
+  /** One column tensor per graph input for raw rows in [[inputCols]] order. */
+  def feeds(rows: IndexedSeq[IndexedSeq[Any]]): Map[String, Tensor] = {
     val cols = pipeline.inputCols
     val perRow = rows.map(pipeline.toGraphFeeds)
     cols.zipWithIndex.map { case (c, i) =>

@@ -19,16 +19,6 @@ import repro.onnx.{GraphDef, NodeDef}
   */
 object NNTranslator {
 
-  /** Graph input name used by single-input (pre-featurized) model graphs. */
-  val InputName = "X"
-
-  /** Translate a numeric-vector model into a graph with single input `X`. */
-  def translateModel(model: Model, name: String): GraphDef = {
-    val b = new GraphBuilder(name)
-    val out = emitModel(b, model, InputName, name)
-    GraphDef(name, Seq(InputName), out, b.inits.toMap, b.nodes.toSeq).validated
-  }
-
   /** Translate a whole pipeline (featurization + scaler + model) into a
     * graph with one input per raw column; categorical columns are fed as
     * vocabulary indices and one-hot encoded in-graph.

@@ -48,15 +48,17 @@ final case class GraphDef(
     this
   }
 
-  /** Names of graph inputs actually reachable from the output (after pruning, some may be dead). */
-  def liveInputs: Set[String] = {
+  /** Names of the values (inputs, initializers, node outputs) the output depends on. */
+  def reachable: Set[String] = {
     val byOutput = nodes.map(n => n.output -> n).toMap
     val seen = scala.collection.mutable.Set[String]()
-    def walk(v: String): Unit =
-      if (!seen.contains(v)) { seen += v; byOutput.get(v).foreach(_.inputs.foreach(walk)) }
+    def walk(v: String): Unit = if (seen.add(v)) byOutput.get(v).foreach(_.inputs.foreach(walk))
     walk(output)
-    inputs.toSet.intersect(seen.toSet)
+    seen.toSet
   }
+
+  /** Names of graph inputs the output reads (after pruning, some may be dead). */
+  def liveInputs: Set[String] = inputs.toSet.intersect(reachable)
 
   def nodeCount: Int = nodes.size
 

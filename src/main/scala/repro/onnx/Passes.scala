@@ -46,14 +46,10 @@ object Passes {
 
   /** Drop nodes and initializers not reachable from the graph output. */
   def deadNodeElimination(graph: GraphDef): GraphDef = {
-    val byOutput = graph.nodes.map(n => n.output -> n).toMap
-    val live = scala.collection.mutable.Set[String]()
-    def walk(v: String): Unit =
-      if (!live.contains(v)) { live += v; byOutput.get(v).foreach(_.inputs.foreach(walk)) }
-    walk(graph.output)
+    val live = graph.reachable
     graph.copy(
       initializers = graph.initializers.view.filterKeys(live).toMap,
-      nodes = graph.nodes.filter(n => live.contains(n.output)),
+      nodes = graph.nodes.filter(n => live(n.output)),
     )
   }
 }

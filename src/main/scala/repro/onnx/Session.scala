@@ -22,9 +22,11 @@ final class Session(
   val graph: GraphDef =
     if (optimizeGraph) Passes.optimize(rawGraph.validated) else rawGraph.validated
 
+  private val live = graph.liveInputs
+  Session.builds.incrementAndGet()
+
   /** Run the graph over named input batches; every live input must be provided. */
   def run(feeds: Map[String, Tensor]): Tensor = {
-    val live = graph.liveInputs
     live.foreach(i => require(feeds.contains(i), s"${graph.name}: missing feed for input '$i'"))
     val env = scala.collection.mutable.Map[String, Tensor](graph.initializers.toSeq: _*)
     feeds.foreach { case (k, v) => if (live.contains(k)) env(k) = v }
@@ -33,19 +35,10 @@ final class Session(
     }
     env(graph.output)
   }
+}
 
-  /** Convenience for single-input graphs ("X" → featurized batch). */
-  def run(input: Tensor): Tensor = {
-    val live = graph.liveInputs
-    require(live.size <= 1, s"${graph.name}: graph has inputs $live; use run(Map)")
-    run(live.headOption.map(_ -> input).toMap)
-  }
+object Session {
 
-  /** Predictions as a double column for a batch given as double rows. */
-  def predictBatch(rows: Array[Array[Double]]): Array[Double] = {
-    if (rows.isEmpty) return Array.empty
-    val out = run(Tensor.ofDoubleRows(rows))
-    require(out.cols == 1, s"${graph.name}: expected single output column, got ${out.cols}")
-    out.data.map(_.toDouble)
-  }
+  /** Sessions built in this JVM; a session cache keeps it flat. */
+  val builds = new java.util.concurrent.atomic.AtomicLong
 }

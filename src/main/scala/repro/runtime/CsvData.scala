@@ -46,12 +46,11 @@ object CsvData {
       }
     }
 
-  /** Numbers parse to Double, everything else stays a String. */
+  /** Every field stays its text: the pipeline parses numeric columns, and a
+    * category reads as written, as `raven_predict` reads `String.valueOf`.
+    */
   def parse(line: String): IndexedSeq[Any] =
-    line.split(",", -1).toIndexedSeq.map { s =>
-      try java.lang.Double.parseDouble(s): Any
-      catch { case _: NumberFormatException => s: Any }
-    }
+    scala.collection.immutable.ArraySeq.unsafeWrapArray(line.split(",", -1))
 
   def readerOf(in: java.io.InputStream): BufferedReader =
     new BufferedReader(new InputStreamReader(in), 1 << 20)

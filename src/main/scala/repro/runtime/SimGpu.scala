@@ -30,6 +30,7 @@ object SimGpu {
   final class GpuSession(graph: GraphDef, spec: GpuSpec = GpuSpec()) {
     private val session = new Session(graph, optimizeGraph = true, parallelism = spec.parallelism)
 
+    /** Runs the graph over [[repro.ml.NNPipelineModel.feeds]], charging the transfers and launches. */
     def run(feeds: Map[String, Tensor]): Tensor = {
       // nanos = bytes / (GB/s * 1e9 B/GB) * 1e9 ns/s = bytes / (GB/s)
       val inBytes = feeds.valuesIterator.map(_.size * 4L).sum
@@ -38,12 +39,6 @@ object SimGpu {
       val out = session.run(feeds)
       spinNanos((out.size * 4L / spec.transferGBps).toLong)
       out
-    }
-
-    def predictBatch(rows: Array[Array[Double]]): Array[Double] = {
-      if (rows.isEmpty) return Array.empty
-      val out = run(Map(repro.ml.NNTranslator.InputName -> Tensor.ofDoubleRows(rows)))
-      out.data.map(_.toDouble)
     }
   }
 

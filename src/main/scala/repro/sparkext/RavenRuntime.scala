@@ -22,16 +22,17 @@ object RavenRuntime {
   }
 
   /** Append `outputCol` with NN-translated pipeline predictions executed by
-    * the OnnxLite runtime (LA path). The `NNPipelineModel` instance caches
-    * its inference session, so passing a registry-held instance gives
-    * session reuse across queries.
+    * the OnnxLite runtime (LA path). `nn` ships as a broadcast: in local
+    * mode every task reads this instance, so its session serves every task
+    * and every query given it.
     */
   def predictNNBatch(df: DataFrame, nn: NNPipelineModel, outputCol: String): DataFrame = {
     val schema = df.schema.add(outputCol, DoubleType, nullable = false)
     val fieldIdx = nn.inputCols.map(df.schema.fieldIndex).toArray
+    val model = df.sparkSession.sparkContext.broadcast(nn)
     df.mapPartitions { it: Iterator[Row] =>
       it.grouped(DefaultBatchSize).flatMap { rows =>
-        val preds = nn.predictRawBatch(rows.map(r => fieldIdx.map(r.get).toIndexedSeq).toIndexedSeq)
+        val preds = model.value.predictRawBatch(rows.map(r => fieldIdx.map(r.get).toIndexedSeq).toIndexedSeq)
         rows.iterator.zipWithIndex.map { case (r, i) => Row.fromSeq(r.toSeq :+ preds(i)) }
       }
     }(Encoders.row(schema))

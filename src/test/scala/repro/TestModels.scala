@@ -76,6 +76,12 @@ object TestModels {
   lazy val handTreePipeline: ModelPipeline =
     ModelPipeline("hospital_hand_dt", HospitalData.pipeline, None, handTree)
 
+  /** `model` behind a numeric-only pipeline over columns `f0..fn`, so that
+    * its NN graph reads the features as raw columns.
+    */
+  def numericPipeline(id: String, model: Model): ModelPipeline =
+    ModelPipeline(id, FeaturePipeline((0 until model.numFeatures).map(i => s"f$i"), Nil), None, model)
+
   /** Raw-row accessor matching pipeline input order. */
   def hospitalRaw(j: HospitalData.Joined): IndexedSeq[Any] = HospitalData.rawValues(j)
   def flightRaw(f: FlightData.Flight): IndexedSeq[Any] = FlightData.rawValues(f)

@@ -3,8 +3,6 @@ package repro.ml
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestModels
 import repro.data.{FlightData, HospitalData}
-import repro.linalg.Tensor
-import repro.onnx.Session
 
 /** NN translation must be semantics-preserving: the LA graph and the
   * interpreted model agree on every input (modulo float32 rounding).
@@ -22,10 +20,10 @@ class NNTranslatorSpec extends AnyFunSuite {
       randomTree(depth - 1, numFeatures), randomTree(depth - 1, numFeatures))
 
   private def assertAgree(model: Model, n: Int = 100, eps: Double = 1e-3): Unit = {
-    val graph = NNTranslator.translateModel(model, s"m${rnd.nextInt()}")
-    val session = new Session(graph)
+    val mp = TestModels.numericPipeline(s"m${rnd.nextInt()}", model)
+    val nn = NNPipelineModel(NNTranslator.translatePipeline(mp), mp.pipeline)
     val xs = Array.fill(n)(Array.fill(model.numFeatures)(rnd.nextDouble() * 20 - 5))
-    val got = session.predictBatch(xs)
+    val got = nn.predictRawBatch(xs.map(_.toIndexedSeq).toIndexedSeq)
     val want = xs.map(model.predict)
     got.zip(want).zipWithIndex.foreach { case ((g, w), i) =>
       assert(math.abs(g - w) <= eps, s"row $i: graph=$g model=$w")
@@ -51,13 +49,12 @@ class NNTranslatorSpec extends AnyFunSuite {
   }
 
   test("hand tree translates exactly on hospital rows") {
-    val graph = NNTranslator.translateModel(TestModels.handTree, "hand")
-    val session = new Session(graph)
-    val xs = TestModels.hospitalRows.take(200).map(j =>
-      HospitalData.pipeline.transform(HospitalData.rawValues(j)))
-    val got = session.predictBatch(xs)
-    xs.zip(got).foreach { case (x, g) =>
-      assert(math.abs(g - TestModels.handTree.predict(x)) < 1e-4)
+    val mp = TestModels.handTreePipeline
+    val nn = NNPipelineModel(NNTranslator.translatePipeline(mp), mp.pipeline)
+    val raw = TestModels.hospitalRows.take(200).map(HospitalData.rawValues).toIndexedSeq
+    val got = nn.predictRawBatch(raw)
+    raw.zip(got).foreach { case (r, g) =>
+      assert(math.abs(g - TestModels.handTree.predict(mp.pipeline.transform(r))) < 1e-4)
     }
   }
 
@@ -131,6 +128,14 @@ class NNTranslatorSpec extends AnyFunSuite {
       def predict(x: Array[Double]) = 0.0
       def usedFeatures = Set.empty
     }
-    assertThrows[IllegalArgumentException](NNTranslator.translateModel(fake, "nope"))
+    assertThrows[IllegalArgumentException](NNTranslator.translatePipeline(TestModels.numericPipeline("nope", fake)))
+  }
+
+  test("predictBatch returns doubles") {
+    val mp = TestModels.numericPipeline("lin", LinearModel(Array(2.0, -1.0), 0.5, logistic = true))
+    val nn = NNPipelineModel(NNTranslator.translatePipeline(mp), mp.pipeline)
+    val out = nn.predictRawBatch(IndexedSeq(IndexedSeq(0.0, 0.0)))
+    assert(math.abs(out(0) - 1.0 / (1.0 + math.exp(-0.5))) < 1e-5)
+    assert(nn.predictRawBatch(IndexedSeq.empty).isEmpty)
   }
 }

@@ -1,7 +1,7 @@
 package repro.onnx
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.linalg.Tensor
+import repro.TestModels.numericPipeline
 import repro.ml._
 
 /** Property-style checks: the optimizer passes must preserve graph
@@ -24,8 +24,10 @@ class PassesPropertySpec extends AnyFunSuite {
         case 2 => RandomForestModel(IndexedSeq.fill(2)(
           DecisionTreeModel(randomTree(3, nf), nf, isClassifier = false)), isClassifier = false)
       }
-      val g = NNTranslator.translateModel(model, s"p$i")
-      val x = Tensor.ofRows(Array.fill(20)(Array.fill(nf)((rnd.nextFloat() - 0.5f) * 20)))
+      val mp = numericPipeline(s"p$i", model)
+      val g = NNTranslator.translatePipeline(mp)
+      val x = NNPipelineModel(g, mp.pipeline).feeds(
+        IndexedSeq.fill(20)(IndexedSeq.fill(nf)((rnd.nextFloat() - 0.5f) * 20)))
       val raw = new Session(g, optimizeGraph = false).run(x)
       val opt = new Session(g, optimizeGraph = true).run(x)
       assert(raw.approxEquals(opt, 0f), s"model $i: optimization changed results")
@@ -35,8 +37,8 @@ class PassesPropertySpec extends AnyFunSuite {
   test("optimize never increases node count") {
     for (i <- 1 to 20) {
       val nf = 1 + rnd.nextInt(5)
-      val g = NNTranslator.translateModel(
-        DecisionTreeModel(randomTree(4, nf), nf, isClassifier = false), s"n$i")
+      val g = NNTranslator.translatePipeline(
+        numericPipeline(s"n$i", DecisionTreeModel(randomTree(4, nf), nf, isClassifier = false)))
       assert(Passes.optimize(g).nodeCount <= g.nodeCount)
     }
   }
@@ -54,8 +56,8 @@ class PassesPropertySpec extends AnyFunSuite {
     val tree = DecisionTreeModel(
       Split(0, 5.0, Leaf(1.0), Split(1, 2.0, Leaf(2.0), Leaf(3.0))), 2, isClassifier = false)
     val pruned = ModelPruner.pruneTree(tree, Map(0 -> FeatureConstraint.lessThan(5.0)))
-    val gFull = NNTranslator.translateModel(tree, "full")
-    val gPruned = NNTranslator.translateModel(pruned, "pruned")
+    val gFull = NNTranslator.translatePipeline(numericPipeline("full", tree))
+    val gPruned = NNTranslator.translatePipeline(numericPipeline("pruned", pruned))
     assert(Passes.optimize(gPruned).weightElems < Passes.optimize(gFull).weightElems)
   }
 }

@@ -52,7 +52,7 @@ class SessionSpec extends AnyFunSuite {
 
   test("session computes the expected function") {
     val s = new Session(linGraph)
-    val out = s.run(Tensor.ofRows(Array(Array(1f, 1f), Array(0f, 0f))))
+    val out = s.run(Map("X" -> Tensor.ofRows(Array(Array(1f, 1f), Array(0f, 0f)))))
     def sig(x: Double) = 1.0 / (1.0 + math.exp(-x))
     assert(math.abs(out(0, 0) - sig(1.5)) < 1e-5)
     assert(math.abs(out(1, 0) - sig(0.5)) < 1e-5)
@@ -61,13 +61,6 @@ class SessionSpec extends AnyFunSuite {
   test("run(Map) requires all live inputs") {
     val s = new Session(linGraph)
     assertThrows[IllegalArgumentException](s.run(Map.empty[String, Tensor]))
-  }
-
-  test("predictBatch returns doubles") {
-    val s = new Session(linGraph)
-    val out = s.predictBatch(Array(Array(0.0, 0.0)))
-    assert(math.abs(out(0) - 1.0 / (1.0 + math.exp(-0.5))) < 1e-5)
-    assert(s.predictBatch(Array.empty[Array[Double]]).isEmpty)
   }
 
   test("constant folding evaluates static subgraphs") {
@@ -87,7 +80,7 @@ class SessionSpec extends AnyFunSuite {
     val folded = Passes.constantFold(g)
     assert(folded.nodes.map(_.op) == Seq("Add"))
     assert(folded.initializers("c").data.toSeq == Seq(4f, 6f))
-    val out = new Session(folded, optimizeGraph = false).run(Tensor.ofRows(Array(Array(1f, 1f))))
+    val out = new Session(folded, optimizeGraph = false).run(Map("X" -> Tensor.ofRows(Array(Array(1f, 1f)))))
     assert(out.data.toSeq == Seq(5f, 7f))
   }
 

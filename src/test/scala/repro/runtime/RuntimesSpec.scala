@@ -4,13 +4,14 @@ import java.nio.file.Files
 import scala.concurrent.{Await, Future}
 import scala.concurrent.ExecutionContext.Implicits.global
 import scala.concurrent.duration._
-import org.scalatest.funsuite.AnyFunSuite
-import repro.TestModels
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.types.{DoubleType, StringType, StructField, StructType}
+import repro.{SparkSpec, TestModels}
 import repro.data.HospitalData
-import repro.ml.{NNPipelineModel, NNTranslator}
-import repro.onnx.Session
+import repro.ml.{FeaturePipeline, LinearModel, ModelPipeline, NNPipelineModel, NNTranslator, OneHotEncoder}
+import repro.sparkext.{ModelRegistry, Raven}
 
-class RuntimesSpec extends AnyFunSuite {
+class RuntimesSpec extends SparkSpec {
 
   private lazy val mp = TestModels.hospitalForestPipeline
   private lazy val graph = NNTranslator.translatePipeline(mp)
@@ -37,7 +38,7 @@ class RuntimesSpec extends AnyFunSuite {
   test("CSV roundtrip preserves numerics and strings") {
     val f = csvOf(IndexedSeq(IndexedSeq(1.5, "abc", 3), IndexedSeq(-2.0, "x", 7)))
     val back = CsvData.readBatches(f, 10).flatten.toIndexedSeq
-    assert(back == IndexedSeq(IndexedSeq(1.5, "abc", 3.0), IndexedSeq(-2.0, "x", 7.0)))
+    assert(back == IndexedSeq(IndexedSeq("1.5", "abc", "3"), IndexedSeq("-2.0", "x", "7")))
     Files.delete(f)
   }
 
@@ -86,13 +87,35 @@ class RuntimesSpec extends AnyFunSuite {
   }
 
   test("simulated GPU session computes identical results to the CPU session") {
-    val model = TestModels.hospitalForest
-    val g = NNTranslator.translateModel(model, "rf_gpu")
-    val cpu = new Session(g)
-    val gpu = new SimGpu.GpuSession(g, SimGpu.GpuSpec(kernelLaunchMicros = 1.0))
-    val xs = TestModels.hospitalX.take(200)
-    val a = cpu.predictBatch(xs)
-    val b = gpu.predictBatch(xs)
-    a.zip(b).foreach { case (x, y) => assert(x == y) }
+    val nn = NNPipelineModel(graph, mp.pipeline)
+    val gpu = new SimGpu.GpuSession(graph, SimGpu.GpuSpec(kernelLaunchMicros = 1.0))
+    val xs = rows.take(200)
+    assert(gpu.run(nn.feeds(xs)).data.map(_.toDouble).sameElements(nn.predictRawBatch(xs)))
+  }
+
+  test("a category written as a number scores the same through the standalone, external and raven_predict paths") {
+    val pipe = FeaturePipeline(Seq("a"), Seq(OneHotEncoder("c", IndexedSeq("1", "2"))))
+    val cat = ModelPipeline("csv_category", pipe, None, LinearModel(Array(1.0, 10.0, 100.0), 0.0, logistic = false))
+    val rs = IndexedSeq(IndexedSeq(0.5, "1"), IndexedSeq(0.25, "2"), IndexedSeq(2.0, "3"))
+    val dir = Files.createTempDirectory("model")
+    OrtStandalone.saveModel(NNTranslator.translatePipeline(cat), pipe, dir)
+    ModelRegistry.save(cat, dir.resolve("classic.bin"))
+    val csv = csvOf(rs)
+    Raven.installRuntimeOnly(spark)
+    Raven.deploy(cat)
+    val schema = StructType(Seq(StructField("a", DoubleType), StructField("c", StringType)))
+    val df = spark.createDataFrame(java.util.Arrays.asList(rs.map(Row.fromSeq): _*), schema)
+    val want = df.selectExpr(s"sum(${Raven.predictSql(cat.id)})").head().getDouble(0)
+    assert(want == 0.5 + 10 + 0.25 + 100 + 2.0)
+    assert(OrtStandalone.run(dir, csv).checksum == want)
+    for (mode <- Seq("nn", "classic")) assert(OutOfProcess.run(dir, csv, mode = mode).checksum == want, mode)
+  }
+
+  test("a CSV row of the wrong arity fails the standalone run with the pipeline's message") {
+    val dir = savedModelDir
+    for (bad <- Seq(rows.head :+ 1.0, rows.head.init)) {
+      val e = intercept[IllegalArgumentException](OrtStandalone.run(dir, csvOf(IndexedSeq(bad))))
+      assert(e.getMessage.contains(s"expected ${mp.inputCols.size} values, got ${bad.size}"))
+    }
   }
 }

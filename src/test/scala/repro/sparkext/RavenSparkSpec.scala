@@ -458,6 +458,18 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
     } finally org.apache.spark.network.util.JavaUtils.deleteRecursively(dir.toFile)
   }
 
+  test("two NN queries over an 8-partition frame build one session") {
+    val mp = TestModels.hospitalForestPipeline
+    val nn = NNPipelineModel(NNTranslator.translatePipeline(mp), mp.pipeline)
+    val in = tables("patients_all").repartition(8)
+    assert(in.rdd.getNumPartitions == 8)
+    val before = repro.onnx.Session.builds.get
+    val sums = Seq.fill(2)(RavenRuntime.predictNNBatch(in, nn, "score").agg(functions.sum("score")).head().getDouble(0))
+    assert(repro.onnx.Session.builds.get - before == 1)
+    // the partial sums may merge in either order
+    assert(math.abs(sums(0) - sums(1)) <= 1e-9 * math.abs(sums(0)))
+  }
+
   test("batched runtime predictions equal per-row expression predictions") {
     val batched = RavenRuntime.predictBatch(tables("patients_all"), TestModels.handTreePipeline.id, "score")
     val perRow = spark.sql(s"SELECT *, $handSql AS score FROM patients_all")
