@@ -8,11 +8,11 @@ import repro.core.ir.SchemaCatalog
 import repro.ml.ModelPipeline
 import repro.sparkext.PredictExpression
 
-/** A frame the analyzers build: its unresolved Catalyst plan, the columns
-  * the catalog says it has (what the analyzers check names against, with
-  * no session), and the pipelines its predicts invoke.
+/** A frame the analyzers build: its unresolved Catalyst plan, and the
+  * columns the catalog says it has (what the analyzers check names against,
+  * with no session).
   */
-private[analysis] final case class Frame(plan: LogicalPlan, cols: Seq[String], pipelines: Seq[ModelPipeline]) {
+private[analysis] final case class Frame(plan: LogicalPlan, cols: Seq[String]) {
   import Frame.col
 
   def where(cond: Expression): Frame = copy(plan = Filter(cond, plan))
@@ -25,7 +25,7 @@ private[analysis] final case class Frame(plan: LogicalPlan, cols: Seq[String], p
     val joined =
       if (lk == rk) Join(plan, right.plan, UsingJoin(Inner, Seq(lk)), None, JoinHint.NONE)
       else Project(out.map(col), Join(plan, right.plan, Inner, Some(EqualTo(col(lk), col(rk))), JoinHint.NONE))
-    Frame(joined, out, (pipelines ++ right.pipelines).distinctBy(_.id))
+    Frame(joined, out)
   }
 
   /** Appends column `name` computed by `e`. */
@@ -33,9 +33,7 @@ private[analysis] final case class Frame(plan: LogicalPlan, cols: Seq[String], p
     copy(plan = Project(Seq(UnresolvedStar(None), Alias(e, name)()), plan), cols = cols :+ name)
 
   /** Appends column `name` holding `mp`'s predictions over its input columns. */
-  def predict(mp: ModelPipeline, name: String): Frame =
-    withColumn(name, PredictExpression(mp.id, mp.inputCols.map(col)))
-      .copy(pipelines = (pipelines :+ mp).distinctBy(_.id))
+  def predict(mp: ModelPipeline, name: String): Frame = withColumn(name, PredictExpression(mp, mp.inputCols.map(col)))
 }
 
 private[analysis] object Frame {
@@ -43,5 +41,5 @@ private[analysis] object Frame {
   def col(name: String): UnresolvedAttribute = UnresolvedAttribute.quoted(name)
 
   /** Table `t`, resolved from the session's catalog when the plan runs. */
-  def scan(t: String, catalog: SchemaCatalog): Frame = Frame(UnresolvedRelation(Seq(t)), catalog.table(t).columns, Nil)
+  def scan(t: String, catalog: SchemaCatalog): Frame = Frame(UnresolvedRelation(Seq(t)), catalog.table(t).columns)
 }

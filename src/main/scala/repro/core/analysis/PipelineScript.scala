@@ -38,9 +38,10 @@ object PipelineScript {
       extends RuntimeException(s"line $line: $msg")
 
   /** One plan per execution path (conditionals fork the analysis); `ir` is
-    * unresolved, and [[repro.sparkext.Raven.run]] deploys `pipelines` and runs it.
+    * unresolved, carries the pipelines it predicts with, and
+    * [[repro.sparkext.Raven.run]] runs it.
     */
-  final case class PathPlan(ir: LogicalPlan, pathCondition: Option[String], pipelines: Seq[ModelPipeline])
+  final case class PathPlan(ir: LogicalPlan, pathCondition: Option[String])
 
   final case class ScriptAnalysis(
       plans: Seq[PathPlan],
@@ -182,7 +183,7 @@ object PipelineScript {
               throw AnalysisError(s"frame '$dv' lacks model inputs: ${missing.mkString(",")}", lineNo)
             assign(v, src.predict(mp, "prediction"))
           case ReturnRe(v) =>
-            Seq(pathPlan(table(v), cond))
+            Seq(PathPlan(table(v).plan, cond))
           case CallRe(v, fn, arg) =>
             // Unknown API call — wrap as a black-box UDF over all columns.
             val src = table(arg)
@@ -191,15 +192,13 @@ object PipelineScript {
             throw AnalysisError(s"cannot parse statement: '$other'", lineNo)
         }
       case _ =>
-        last.flatMap(env.get).collect { case VTable(f) => pathPlan(f, cond) }.toSeq
+        last.flatMap(env.get).collect { case VTable(f) => PathPlan(f.plan, cond) }.toSeq
     }
 
     val plans = walk(lines, Map.empty, None, None)
     if (plans.isEmpty) throw AnalysisError("script produces no frame", lines.lastOption.map(_._2).getOrElse(0))
     ScriptAnalysis(plans, (System.nanoTime() - t0) / 1000, fallbackToUdf = false)
   }
-
-  private def pathPlan(f: Frame, cond: Option[String]) = PathPlan(f.plan, cond, f.pipelines)
 
   private val Comparisons: Map[String, (Expression, Expression) => Expression] = Map(
     "==" -> (EqualTo(_, _)), "!=" -> ((l, r) => Not(EqualTo(l, r))), "<" -> (LessThan(_, _)),

@@ -16,8 +16,8 @@ import repro.ml.ModelPipeline
   */
 object StaticAnalyzer extends cat.PredicateHelper {
 
-  /** `ir` is unresolved: [[repro.sparkext.Raven.run]] deploys `pipelines` and runs it. */
-  final case class SqlAnalysis(ir: LogicalPlan, elapsedMicros: Long, pipelines: Seq[ModelPipeline])
+  /** `ir` is unresolved, and carries the pipeline it predicts with: [[repro.sparkext.Raven.run]] runs it. */
+  final case class SqlAnalysis(ir: LogicalPlan, elapsedMicros: Long)
 
   /** Column name used for the model score when PREDICT appears only in the
     * WHERE clause.
@@ -115,7 +115,7 @@ object StaticAnalyzer extends cat.PredicateHelper {
           case lit => named(lit, alias.getOrElse(throw new IllegalArgumentException(s"alias required for ${lit.sql}")))
         }
       }, frame.plan)
-    SqlAnalysis(plan, (System.nanoTime() - t0) / 1000, frame.pipelines)
+    SqlAnalysis(plan, (System.nanoTime() - t0) / 1000)
   }
 
   private def unsupported(what: String, found: String): Nothing =

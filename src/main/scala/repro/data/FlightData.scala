@@ -1,6 +1,5 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.ml.{FeaturePipeline, OneHotEncoder}
 
 /** Synthetic flight-delay data, standing in for the Kaggle US-DOT
@@ -76,9 +75,4 @@ object FlightData {
 
   def featurized(rows: Array[Flight]): (Array[Array[Double]], Array[Double]) =
     (rows.map(f => pipeline.transform(rawValues(f))), rows.map(_.delayed.toDouble))
-
-  def flightsDf(spark: SparkSession, n: Long, seed: Long = 202L): DataFrame = {
-    import spark.implicits._
-    spark.range(n).map(i => flightRow(i, seed)).toDF()
-  }
 }

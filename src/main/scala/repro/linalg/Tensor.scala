@@ -101,24 +101,7 @@ final class Tensor(val rows: Int, val cols: Int, val data: Array[Float]) extends
     new Tensor(rows, totalCols, out)
   }
 
-  def sumRows: Tensor = {
-    val out = new Array[Float](rows)
-    var r = 0
-    while (r < rows) {
-      var s = 0f; var c = 0
-      while (c < cols) { s += data(r * cols + c); c += 1 }
-      out(r) = s
-      r += 1
-    }
-    new Tensor(rows, 1, out)
-  }
-
   def toArray2: Array[Array[Float]] = Array.tabulate(rows)(r => data.slice(r * cols, (r + 1) * cols))
-
-  def sameShape(other: Tensor): Boolean = rows == other.rows && cols == other.cols
-
-  def approxEquals(other: Tensor, eps: Float = 1e-4f): Boolean =
-    sameShape(other) && data.indices.forall(i => math.abs(data(i) - other.data(i)) <= eps)
 
   override def toString: String =
     s"Tensor($rows x $cols)" + (if (size <= 64) toArray2.map(_.mkString("[", ",", "]")).mkString("[", ",", "]") else "")

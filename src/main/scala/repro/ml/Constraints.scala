@@ -36,8 +36,6 @@ final case class FeatureConstraint(
 
   def contains(v: Double): Boolean =
     (if (loStrict) v > lo else v >= lo) && (if (hiStrict) v < hi else v <= hi)
-
-  def isUnbounded: Boolean = lo.isNegInfinity && hi.isPosInfinity
 }
 
 object FeatureConstraint {

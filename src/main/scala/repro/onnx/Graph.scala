@@ -61,7 +61,4 @@ final case class GraphDef(
   def liveInputs: Set[String] = inputs.toSet.intersect(reachable)
 
   def nodeCount: Int = nodes.size
-
-  /** Total number of weight elements — a proxy for model size on disk. */
-  def weightElems: Long = initializers.valuesIterator.map(_.size).sum
 }

@@ -7,7 +7,8 @@ import java.nio.file.{Files, Path}
   * interchange outside the database engine, which the paper's standalone
   * ORT and external-script paths pay for).
   *
-  * No quoting: the synthetic datasets contain no commas.
+  * No quoting: the synthetic datasets contain no commas. NULL is an empty
+  * field, so an empty string reads back as NULL.
   */
 object CsvData {
 
@@ -16,7 +17,7 @@ object CsvData {
     var n = 0L
     try {
       rows.foreach { r =>
-        w.write(r.mkString(","))
+        w.write(r.iterator.map(v => if (v == null) "" else String.valueOf(v)).mkString(","))
         w.newLine()
         n += 1
       }
@@ -48,9 +49,14 @@ object CsvData {
 
   /** Every field stays its text: the pipeline parses numeric columns, and a
     * category reads as written, as `raven_predict` reads `String.valueOf`.
+    * An empty field is NULL.
     */
-  def parse(line: String): IndexedSeq[Any] =
-    scala.collection.immutable.ArraySeq.unsafeWrapArray(line.split(",", -1))
+  def parse(line: String): IndexedSeq[Any] = {
+    val fields = line.split(",", -1)
+    var i = 0
+    while (i < fields.length) { if (fields(i).isEmpty) fields(i) = null; i += 1 }
+    scala.collection.immutable.ArraySeq.unsafeWrapArray(fields)
+  }
 
   def readerOf(in: java.io.InputStream): BufferedReader =
     new BufferedReader(new InputStreamReader(in), 1 << 20)

@@ -6,23 +6,32 @@ import org.apache.spark.sql.catalyst.expressions.{Expression, Literal}
 import org.apache.spark.sql.catalyst.expressions.codegen.CodegenFallback
 import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
+import repro.ml.{ColPredicate, ModelPipeline, ModelPruner}
 
-/** The `PREDICT` scalar expression: invokes a deployed model pipeline on
-  * each input row, inside the query plan (the paper's in-process PREDICT
-  * operator, §5). SQL `raven_predict` and the DataFrame
-  * [[RavenRuntime.predictBatch]] both build it.
+/** The `PREDICT` scalar expression: invokes a model pipeline on each input
+  * row, inside the query plan (the paper's in-process PREDICT operator,
+  * §5). SQL `raven_predict`, the DataFrame [[RavenRuntime.predictBatch]]
+  * and the static analyzers build it. The plan carries its model, as
+  * Fig. 1's query carries `@model`: `pipeline` is the one deployed when
+  * the query was analyzed, or a variant of it, and then `derivation` holds
+  * that root and the facts the variant was derived under.
   *
   * It scores one row at a time. `CodegenFallback` keeps the surrounding
   * plan codegen-able while the model call stays interpreted.
   */
-final case class PredictExpression(modelId: String, children: Seq[Expression])
-    extends Expression with CodegenFallback {
+final case class PredictExpression(
+    pipeline: ModelPipeline,
+    children: Seq[Expression],
+    derivation: Option[(ModelPipeline, Set[ColPredicate])] = None,
+) extends Expression with CodegenFallback {
 
-  @transient private lazy val pipeline = ModelRegistry.get(modelId)
+  def modelId: String = pipeline.id
 
   override def dataType: DataType = DoubleType
   override def nullable: Boolean = false
   override def prettyName: String = "raven_predict"
+  // the id, not the model: a plan's description would otherwise render every tree
+  override def toString: String = s"$prettyName($modelId, ${children.mkString(", ")})"
 
   /** Only numbers, booleans and strings: a TIMESTAMP or DATE would reach
     * the pipeline as Spark's internal microseconds or days.
@@ -40,6 +49,29 @@ final case class PredictExpression(modelId: String, children: Seq[Expression])
     pipeline.predictRaw(scala.collection.immutable.ArraySeq.unsafeWrapArray(vals))
   }
 
+  /** This predict's variant `<root id>#<hash of the facts>` (pruned, then
+    * projected) under the facts held plus `preds`, over the arguments it
+    * reads. It is this instance if `preds` adds no fact, or if the model has
+    * a scaler or cannot be reindexed (an MLP).
+    */
+  def specializedFor(preds: Seq[ColPredicate]): PredictExpression = {
+    val root = derivation.fold(pipeline)(_._1)
+    val held = derivation.map(_._2)
+    val facts = held.getOrElse(Set.empty) ++ preds
+    if (root.scaler.nonEmpty || !ModelPruner.reindexable(root.model) || held.contains(facts)) this
+    else {
+      // one order per set of facts: a variant's id and bits depend on nothing else
+      val ordered = facts.toSeq.sortBy(_.toString)
+      val variant = root.optimizeFor(ordered)._1
+        .copy(id = f"${root.id}#${scala.util.hashing.MurmurHash3.stringHash(ordered.mkString("&"))}%08x")
+      val cols = pipeline.inputCols
+      val missing = variant.inputCols.filterNot(cols.contains)
+      if (missing.nonEmpty) throw new IllegalStateException(
+        s"variant '${variant.id}' of '${root.id}' reads ${missing.mkString(", ")}, which '$modelId' does not")
+      PredictExpression(variant, variant.inputCols.map(c => children(cols.indexOf(c))), Some(root -> facts))
+    }
+  }
+
   override protected def withNewChildrenInternal(newChildren: IndexedSeq[Expression]): Expression =
     copy(children = newChildren)
 }
@@ -55,8 +87,9 @@ object PredictExpression {
     case other         => other
   }
 
-  /** Builder for SQL registration: `raven_predict('model_id', f1, f2, ...)`.
-    * Argument order must match the deployed pipeline's `inputCols`.
+  /** Builder for SQL registration: `raven_predict('model_id', f1, f2, ...)`
+    * resolves the id when the query is analyzed. Argument order must match
+    * the pipeline's `inputCols`.
     */
   def fromArgs(args: Seq[Expression]): PredictExpression = {
     require(args.nonEmpty, "raven_predict needs a model id argument")
@@ -67,6 +100,6 @@ object PredictExpression {
     val mp = ModelRegistry.get(id)
     require(args.size - 1 == mp.inputCols.size,
       s"model '$id' expects ${mp.inputCols.size} feature columns (${mp.inputCols.mkString(",")}), got ${args.size - 1}")
-    PredictExpression(id, args.tail)
+    PredictExpression(mp, args.tail)
   }
 }

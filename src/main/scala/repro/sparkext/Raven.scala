@@ -62,13 +62,12 @@ object Raven {
   def deploy(mp: ModelPipeline): Unit = ModelRegistry.deploy(mp)
 
   /** Runs a plan of the static analyzers (`StaticAnalyzer.analyzeSql`,
-    * `PipelineScript.analyze`) on `spark`: deploys the `pipelines` its
-    * predicts invoke, resolves its tables from the session's catalog, and
-    * returns its rows. The session's optimizer, with Raven's rules if
-    * installed, rewrites it as it does a SQL query.
+    * `PipelineScript.analyze`), whose predicts carry their pipelines, on
+    * `spark`: resolves its tables from the session's catalog and returns its
+    * rows. The session's optimizer, with Raven's rules if installed,
+    * rewrites it as it does a SQL query.
     */
-  def run(spark: SparkSession, plan: LogicalPlan, pipelines: Seq[ModelPipeline]): DataFrame = {
-    pipelines.foreach(deploy)
+  def run(spark: SparkSession, plan: LogicalPlan): DataFrame = {
     val analyzed = spark.sessionState.executePlan(plan).analyzed
     new classic.Dataset[Row](spark.asInstanceOf[classic.SparkSession], analyzed, Encoders.row(analyzed.schema))
   }

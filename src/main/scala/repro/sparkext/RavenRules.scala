@@ -1,5 +1,6 @@
 package repro.sparkext
 
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.catalyst.expressions._
 import org.apache.spark.sql.catalyst.plans.Inner
 import org.apache.spark.sql.catalyst.plans.logical._
@@ -18,9 +19,10 @@ import repro.ml._
 object RavenRules {
 
   /** Predicate-based model pruning and model-projection pushdown (§4.1):
-    * every predict is replaced by the registry's variant specialized for the
-    * facts known of its inputs, with the arguments the variant no longer
-    * reads dropped (projection is specialization under no facts). Catalyst
+    * every predict is replaced by its pipeline's variant specialized for the
+    * facts known of its inputs ([[PredictExpression.specializedFor]]), or
+    * left as it is if it learns no new fact, so the fixed-point batch
+    * converges. Catalyst
     * column pruning then narrows the scans, and [[JoinElimination]] may
     * drop joins.
     *
@@ -40,21 +42,15 @@ object RavenRules {
         case f: Filter => f.constraints.toSeq
         case _         => node.children.flatMap(_.constraints)
       }
-      node.transformExpressionsUp { case p: PredictExpression => specialize(p, facts) }
-    }
-
-    private def specialize(p: PredictExpression, facts: Seq[Expression]): Expression = {
-      val cols = ModelRegistry.get(p.modelId).inputCols
-      val preds = p.children.zip(cols).flatMap {
-        // a constant that Spark's ConstantPropagation folded into the argument
-        case (LitNum(v), col)                          => Seq(NumRange(col, FeatureConstraint.equalTo(v)))
-        case (Literal(s: UTF8String, StringType), col) => Seq(CatEquals(col, s.toString))
-        case (Attr(a), col)                            => facts.flatMap(predicate(a, col))
-        case _                                         => Nil
+      node.transformExpressionsUp { case p: PredictExpression =>
+        p.specializedFor(p.children.zip(p.pipeline.inputCols).flatMap {
+          // a constant that Spark's ConstantPropagation folded into the argument
+          case (LitNum(v), col)                          => Seq(NumRange(col, FeatureConstraint.equalTo(v)))
+          case (Literal(s: UTF8String, StringType), col) => Seq(CatEquals(col, s.toString))
+          case (Attr(a), col)                            => facts.flatMap(predicate(a, col))
+          case _                                         => Nil
+        })
       }
-      val derivedId = ModelRegistry.deriveFor(p.modelId, preds)
-      if (derivedId == p.modelId) p
-      else PredictExpression(derivedId, ModelRegistry.get(derivedId).inputCols.map(c => p.children(cols.indexOf(c))))
     }
 
     /** `fact` as a predicate on model column `col`, if it compares `a` with a
@@ -111,19 +107,11 @@ object RavenRules {
       }
     }
 
+    /** A non-NULL numeric literal, as the double the model reads. */
     private object LitNum {
       def unapply(e: Expression): Option[Double] = e match {
-        case Literal(v, _: NumericType) => v match {
-          case i: Int     => Some(i.toDouble)
-          case l: Long    => Some(l.toDouble)
-          case d: Double  => Some(d)
-          case f: Float   => Some(f.toDouble)
-          case s: Short   => Some(s.toDouble)
-          case b: Byte    => Some(b.toDouble)
-          case d: Decimal => Some(d.toDouble)
-          case _          => None
-        }
-        case _ => None
+        case l @ Literal(v, _: NumericType) if v != null => Some(Cast(l, DoubleType).eval().asInstanceOf[Double])
+        case _                                           => None
       }
     }
   }
@@ -136,15 +124,13 @@ object RavenRules {
     */
   object ModelInlining extends Rule[LogicalPlan] {
     def apply(plan: LogicalPlan): LogicalPlan = plan.transformAllExpressions {
-      case p: PredictExpression =>
-        val mp = ModelRegistry.get(p.modelId)
-        mp.model match {
-          case _: DecisionTreeModel | _: RandomForestModel if mp.scaler.isEmpty =>
-            val (pipeline, model, _) = ModelPruner.projectPipeline(mp.pipeline, mp.model)
-            InlinedTrees(mp.copy(pipeline = pipeline, model = model),
-              pipeline.inputCols.map(c => p.children(mp.inputCols.indexOf(c))))
-          case _ => p
-        }
+      case p @ PredictExpression(mp, _, _) => mp.model match {
+        case _: DecisionTreeModel | _: RandomForestModel if mp.scaler.isEmpty =>
+          val (pipeline, model, _) = ModelPruner.projectPipeline(mp.pipeline, mp.model)
+          InlinedTrees(mp.copy(pipeline = pipeline, model = model),
+            pipeline.inputCols.map(c => p.children(mp.inputCols.indexOf(c))))
+        case _ => p
+      }
     }
   }
 
@@ -161,20 +147,25 @@ object RavenRules {
     *    and key ranges);
     *  - `lk` is never NULL on the left side, so no left row relied on the
     *    join to drop it.
-    * Tables are looked up by name in the session running the query.
+    * The catalog is the one declared for the session running the query,
+    * the active session while its optimizer runs, and its tables are looked
+    * up by name in that session.
     */
   object JoinElimination extends Rule[LogicalPlan] with PredicateHelper {
-    def apply(plan: LogicalPlan): LogicalPlan = RavenIntegrity.declared match {
-      case None => plan
-      case Some(catalog) =>
-        lazy val tables = declaredRelations(catalog)
-        plan.transformUp {
-          case p @ Project(list, Join(l, r, Inner, Some(EqualTo(x: Attribute, y: Attribute)), _))
-              if AttributeSet(list.flatMap(_.references)).intersect(r.outputSet).isEmpty &&
-                Seq((x, y), (y, x)).exists { case (lk, rk) =>
-                  l.outputSet.contains(lk) && r.outputSet.contains(rk) && rowPreserving(l, lk, r, rk, catalog, tables)
-                } => p.copy(child = l)
-        }
+    def apply(plan: LogicalPlan): LogicalPlan = (for {
+      spark   <- SparkSession.getActiveSession
+      catalog <- RavenIntegrity.declared(spark)
+    } yield eliminate(plan, spark, catalog)).getOrElse(plan)
+
+    private def eliminate(plan: LogicalPlan, spark: SparkSession, catalog: SchemaCatalog): LogicalPlan = {
+      lazy val tables = declaredRelations(spark, catalog)
+      plan.transformUp {
+        case p @ Project(list, Join(l, r, Inner, Some(EqualTo(x: Attribute, y: Attribute)), _))
+            if AttributeSet(list.flatMap(_.references)).intersect(r.outputSet).isEmpty &&
+              Seq((x, y), (y, x)).exists { case (lk, rk) =>
+                l.outputSet.contains(lk) && r.outputSet.contains(rk) && rowPreserving(l, lk, r, rk, catalog, tables)
+              } => p.copy(child = l)
+      }
     }
 
     private def rowPreserving(
@@ -211,21 +202,21 @@ object RavenRules {
       case _ => None
     }
 
-    /** Each declared table the active session knows, with its analyzed plan. */
-    private def declaredRelations(catalog: SchemaCatalog): Seq[(String, LogicalPlan)] = {
-      val spark = org.apache.spark.sql.SparkSession.active
+    /** Each declared table `spark` knows, with its analyzed plan. */
+    private def declaredRelations(spark: SparkSession, catalog: SchemaCatalog): Seq[(String, LogicalPlan)] =
       catalog.tableNames.filter(spark.catalog.tableExists).map(t => t -> spark.table(t).queryExecution.analyzed)
-    }
   }
 
-  /** The integrity catalog [[JoinElimination]] trusts: the keys it declares
-    * hold in the data of the tables it names. `declare` replaces the
-    * catalog declared before.
+  /** The integrity catalog [[JoinElimination]] trusts in a session: the
+    * keys it declares hold in the data of the tables it names there. Temp
+    * views are per session, so a declaration is too. `declare` replaces the
+    * catalog declared before for that session.
     */
   object RavenIntegrity {
-    @volatile private[sparkext] var declared: Option[SchemaCatalog] = None
-    def declare(catalog: SchemaCatalog): Unit = declared = Some(catalog)
-    def clear(): Unit = declared = None
+    private val catalogs = java.util.Collections.synchronizedMap(new java.util.WeakHashMap[SparkSession, SchemaCatalog]())
+    def declare(spark: SparkSession, catalog: SchemaCatalog): Unit = catalogs.put(spark, catalog)
+    def clear(spark: SparkSession): Unit = catalogs.remove(spark)
+    private[sparkext] def declared(spark: SparkSession): Option[SchemaCatalog] = Option(catalogs.get(spark))
 
     private lazy val columnNameWarning: Unit = Console.err.println(
       "RavenIntegrity.declareRowPreserving: a column-name pair licenses no join elimination; " +

@@ -33,7 +33,7 @@ class DifferentialSpec extends AnyFunSuite with SparkSpec {
   private def irRows(s: SparkSession, f: Family, mp: ModelPipeline, filter: Option[String]): Seq[(Long, Double)] = {
     val sql = s"SELECT ${f.key}, PREDICT(model) AS score FROM ${f.table}${where(filter)}"
     val a = StaticAnalyzer.analyzeSql(sql, TestTables.hospitalCatalog, Map("model" -> mp))
-    rows(Raven.run(s, a.ir, a.pipelines))
+    rows(Raven.run(s, a.ir))
   }
 
   /** The cohort filter `col op literal` as a PyLite script line. */
@@ -46,7 +46,7 @@ class DifferentialSpec extends AnyFunSuite with SparkSpec {
     val script = (Seq(s"""df = read("${f.table}")""") ++ filter.map(scriptFilter) ++ Seq(
       """m = load_model("model")""", "df = m.predict(df)", s"""df = df[["${f.key}", "prediction"]]""", "return df"))
     val p = PipelineScript.analyze(script.mkString("\n"), TestTables.hospitalCatalog, Map("model" -> mp)).plans.head
-    rows(Raven.run(s, p.ir, p.pipelines))
+    rows(Raven.run(s, p.ir))
   }
 
   private def sqlRows(s: SparkSession, f: Family, mp: ModelPipeline, filter: Option[String]): Seq[(Long, Double)] =

@@ -17,8 +17,7 @@ import repro.sparkext.PredictExpression
 object OracleSql {
 
   /** `plan` as SQL, if every operator and predict in it has a portable form. */
-  def toSql(plan: LogicalPlan, pipelines: Seq[ModelPipeline]): Option[String] = {
-    val byId = pipelines.map(mp => mp.id -> mp).toMap
+  def toSql(plan: LogicalPlan): Option[String] = {
     def all(es: Seq[Expression]): Option[Seq[String]] =
       es.foldRight(Option(List.empty[String]))((e, acc) => for (s <- expr(e); rest <- acc) yield s :: rest)
     def bin(op: String, l: Expression, r: Expression) = for (ls <- expr(l); rs <- expr(r)) yield s"($ls $op $rs)"
@@ -31,7 +30,7 @@ object OracleSql {
       case Not(EqualTo(l, r))                 => bin("<>", l, r)
       case c: BinaryComparison                => bin(c.symbol, c.left, c.right)
       case And(l, r)                          => bin("AND", l, r)
-      case p: PredictExpression               => caseSql(byId(p.modelId)).map(s => s"($s)")
+      case p: PredictExpression               => caseSql(p.pipeline).map(s => s"($s)")
       case _                                  => None
     }
     def rel(p: LogicalPlan): Option[String] = p match {

@@ -43,8 +43,14 @@ object TestTables {
     "blood_tests" -> HospitalData.bloodTests(spark, HospitalN),
     "prenatal_tests" -> HospitalData.prenatalTests(spark, HospitalN),
     "patients_all" -> HospitalData.joinedDf(spark, HospitalN),
-    "flights" -> FlightData.flightsDf(spark, FlightN),
+    "flights" -> flightsDf(spark, FlightN),
   )
+
+  /** `n` synthetic flights, the rows of [[FlightData.flightRow]]. */
+  def flightsDf(spark: SparkSession, n: Long, seed: Long = 202L): DataFrame = {
+    import spark.implicits._
+    spark.range(n).map(i => FlightData.flightRow(i, seed)).toDF()
+  }
 
   /** Sessions of their own over the shared Spark context, with every table
     * as a temp view: `optimized` has Raven installed, `reference` only its
@@ -101,11 +107,11 @@ object TestTables {
     s
   }
 
-  /** Runs `f` with `catalog` declared to Raven's join elimination. */
-  def withIntegrity[A](catalog: SchemaCatalog = hospitalCatalog)(f: => A): A = {
-    RavenIntegrity.declare(catalog)
+  /** Runs `f` with `catalog` declared to Raven's join elimination in `spark`. */
+  def withIntegrity[A](spark: SparkSession, catalog: SchemaCatalog = hospitalCatalog)(f: => A): A = {
+    RavenIntegrity.declare(spark, catalog)
     try f
-    finally RavenIntegrity.clear()
+    finally RavenIntegrity.clear(spark)
   }
 
   /** Runs `f` with `rules` in place of the optimized session's Raven rules. */

@@ -43,7 +43,7 @@ class AnalyzerPropertySpec extends AnyFunSuite with SparkSpec {
     val prop = Prop.forAll(conjunction) { where =>
       val a = StaticAnalyzer.analyzeSql(s"SELECT patient_id, PREDICT(m) AS score FROM patients_all WHERE $where",
         TestTables.hospitalCatalog, Map("m" -> mp))
-      rows(Raven.run(TestTables.optimized, a.ir, a.pipelines)) == rows(TestTables.reference.sql(
+      rows(Raven.run(TestTables.optimized, a.ir)) == rows(TestTables.reference.sql(
         s"SELECT patient_id, ${Raven.predictSql(mp.id)} AS score FROM patients_all WHERE $where"))
     }
     val params = Test.Parameters.default.withMinSuccessfulTests(30).withWorkers(1).withInitialSeed(Seed(20201L))

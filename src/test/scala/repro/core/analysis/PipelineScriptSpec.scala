@@ -60,7 +60,7 @@ class PipelineScriptSpec extends AnyFunSuite {
     val p = res.plans.head.ir.asInstanceOf[Project]
     val Alias(predict: PredictExpression, name) = p.projectList.last
     assert(name == "prediction")
-    assert(predict.modelId == "hospital_hand_dt" && res.plans.head.pipelines.map(_.id) == Seq("hospital_hand_dt"))
+    assert(predict.pipeline == store("hospital_hand_dt"))
     assert(p.child.asInstanceOf[Join].joinType == UsingJoin(Inner, Seq("patient_id")))
   }
 

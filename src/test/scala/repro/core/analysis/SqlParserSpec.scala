@@ -26,7 +26,7 @@ class SqlParserSpec extends AnyFunSuite {
   private def cols(names: String*) = names.map(col)
   /** `child` with `name` appended, holding m1's prediction. */
   private def predict(name: String, child: LogicalPlan) =
-    Project(Seq(UnresolvedStar(None), Alias(PredictExpression("m1", cols("a")), name)()), child)
+    Project(Seq(UnresolvedStar(None), Alias(PredictExpression(m1, cols("a")), name)()), child)
 
   private def ir(sql: String): LogicalPlan = StaticAnalyzer.analyzeSql(sql, dialect, Map("m1" -> m1)).ir
 

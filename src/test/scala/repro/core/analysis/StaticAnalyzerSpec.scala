@@ -41,7 +41,7 @@ class StaticAnalyzerSpec extends AnyFunSuite {
     assert(scoreFilter.condition.sql == "(los > 7)")
     val predict = scoreFilter.child.asInstanceOf[Project]
     val Seq(UnresolvedStar(None), Alias(p: PredictExpression, "los")) = predict.projectList
-    assert(p.modelId == TestModels.handTreePipeline.id && res.pipelines == Seq(TestModels.handTreePipeline))
+    assert(p.pipeline == TestModels.handTreePipeline)
     assert(p.children.map(_.sql) == TestModels.handTreePipeline.inputCols)
     val relFilter = predict.child.asInstanceOf[Filter]
     assert(relFilter.condition.sql == "(pregnant = 1)")

@@ -20,25 +20,25 @@ class CodegenSpec extends AnyFunSuite with SparkSpec {
 
   private def analyze(sql: String) = StaticAnalyzer.analyzeSql(sql, catalog, store)
 
-  private def run(plan: LogicalPlan, pipelines: Seq[ModelPipeline], s: SparkSession = spark): DataFrame = {
+  private def run(plan: LogicalPlan, s: SparkSession = spark): DataFrame = {
     tables // temp views on the shared session
-    Raven.run(s, plan, pipelines)
+    Raven.run(s, plan)
   }
 
-  private def run(a: StaticAnalyzer.SqlAnalysis): DataFrame = run(a.ir, a.pipelines)
+  private def run(a: StaticAnalyzer.SqlAnalysis): DataFrame = run(a.ir)
 
   private def script(body: String, udfs: PipelineScript.UdfRegistry = new PipelineScript.UdfRegistry) =
     PipelineScript.analyze(body, catalog, store, udfs).plans.head
 
   test("scan + filter + project lowers correctly (oracle-checked)") {
     val a = analyze("SELECT patient_id, age FROM patient_info WHERE age > 40 AND gender = 'F'")
-    Oracle.assertEquivalent(run(a), OracleSql.toSql(a.ir, a.pipelines).get, "patient_info" -> tables("patient_info"))
+    Oracle.assertEquivalent(run(a), OracleSql.toSql(a.ir).get, "patient_info" -> tables("patient_info"))
   }
 
   test("join lowers correctly with shared key name (oracle-checked)") {
     val a = analyze("SELECT patient_id, bp, age FROM patient_info " +
       "JOIN prenatal_tests ON patient_info.patient_id = prenatal_tests.patient_id")
-    Oracle.assertEquivalent(run(a), OracleSql.toSql(a.ir, a.pipelines).get,
+    Oracle.assertEquivalent(run(a), OracleSql.toSql(a.ir).get,
       "patient_info" -> tables("patient_info"), "prenatal_tests" -> tables("prenatal_tests"))
   }
 
@@ -47,7 +47,7 @@ class CodegenSpec extends AnyFunSuite with SparkSpec {
       """a = read("patient_info")
         |b = read("blood_tests")
         |j = join(a, b, "patient_id")""".stripMargin)
-    val df = run(p.ir, p.pipelines)
+    val df = run(p.ir)
     assert(df.columns.count(_ == "patient_id") == 1)
     assert(df.columns.toSeq == catalog.table("patient_info").columns ++ catalog.table("blood_tests").columns.tail)
   }
@@ -58,9 +58,9 @@ class CodegenSpec extends AnyFunSuite with SparkSpec {
   test("inline-predict lowers to a scalar expression (oracle-checked)") {
     // Raven's rules inline the predict of a small tree; the oracle renders it as CASE
     val a = analyze("SELECT patient_id, PREDICT(hand_dt) AS c FROM patients_all")
-    val df = run(a.ir, a.pipelines, TestTables.optimized)
+    val df = run(a.ir, TestTables.optimized)
     assert(predictsIn(df).isEmpty)
-    Oracle.assertEquivalent(df, OracleSql.toSql(a.ir, a.pipelines).get, "patients_all" -> tables("patients_all"))
+    Oracle.assertEquivalent(df, OracleSql.toSql(a.ir).get, "patients_all" -> tables("patients_all"))
   }
 
   test("predict lowers to raven_predict and matches driver predictions") {
@@ -77,7 +77,7 @@ class CodegenSpec extends AnyFunSuite with SparkSpec {
     }
     // only a scaler-free tree or forest has a CASE form
     val mlp = analyze("SELECT *, PREDICT(mlp) AS score FROM patients_all")
-    assert(OracleSql.toSql(mlp.ir, mlp.pipelines).isEmpty)
+    assert(OracleSql.toSql(mlp.ir).isEmpty)
   }
 
   test("NN-predict lowers and matches the classical pipeline within float32") {
@@ -94,7 +94,7 @@ class CodegenSpec extends AnyFunSuite with SparkSpec {
     val p = script(
       """df = read("patient_info")
         |df = double_age(df)""".stripMargin, udfs)
-    val df = run(p.ir, p.pipelines)
+    val df = run(p.ir)
     df.select("age", "double_age_out").collect().foreach { r =>
       assert(r.getDouble(1) == r.getInt(0) * 2.0)
     }
@@ -103,7 +103,7 @@ class CodegenSpec extends AnyFunSuite with SparkSpec {
   test("unknown table binding fails fast") {
     // tables resolve from the session's catalog when the plan runs
     val plan = StaticAnalyzer.analyzeSql("SELECT * FROM patient_info", catalog, store).ir
-    assertThrows[AnalysisException](Raven.run(SparkSpec.shared.newSession(), plan, Nil))
+    assertThrows[AnalysisException](Raven.run(SparkSpec.shared.newSession(), plan))
   }
 
   test("temp-view resolution works") {

@@ -11,7 +11,7 @@ import repro.core.analysis.{PipelineScript, StaticAnalyzer}
 import repro.core.analysis.StaticAnalyzer.SqlAnalysis
 import repro.core.ir._
 import repro.ml._
-import repro.sparkext.{InlinedTrees, ModelRegistry, PredictExpression, Raven, RavenRules, RavenRuntime}
+import repro.sparkext.{InlinedTrees, PredictExpression, Raven, RavenRules, RavenRuntime}
 
 /** The rewrites Catalyst applies to the analyzers' plans, Spark's relational
   * ones and Raven's model rules alike: the tests assert on Spark's optimized
@@ -46,11 +46,8 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
   private def fig0Sql = fig1Sql.replace("pregnant = 1", "pregnant = 0")
 
   /** The plan run on a session's temp views; by default the Raven-optimized session. */
-  private def run(plan: LogicalPlan, pipelines: Seq[ModelPipeline], session: SparkSession): DataFrame =
-    Raven.run(session, plan, pipelines)
-
   private def run(a: SqlAnalysis, session: SparkSession = TestTables.optimized): DataFrame =
-    run(a.ir, a.pipelines, session)
+    Raven.run(session, a.ir)
 
   /** Spark's optimized plan of the analyzed query. */
   private def sparkPlan(a: SqlAnalysis, session: SparkSession = TestTables.optimized): LogicalPlan =
@@ -83,14 +80,14 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
       """df = read("patient_info")
         |df = df[df.age > 20]
         |df = df[df.age < 50]""".stripMargin, catalog, store).plans.head.ir
-    val plan = run(stacked, Nil, TestTables.parquetOptimized).queryExecution.optimizedPlan
+    val plan = Raven.run(TestTables.parquetOptimized, stacked).queryExecution.optimizedPlan
     assert(plan.collect { case f: Filter => f }.size == 1 && scanFilters(plan).size == 1, s"plan:\n$plan")
   }
 
   test("filter pushdown renames through project aliases") {
     val renamed = analyze("SELECT age AS years, patient_id FROM patient_info").ir
     val ir = Filter(GreaterThan(UnresolvedAttribute.quoted("years"), Literal(30)), renamed)
-    val plan = run(ir, Nil, TestTables.parquetOptimized).queryExecution.optimizedPlan
+    val plan = Raven.run(TestTables.parquetOptimized, ir).queryExecution.optimizedPlan
     assert(scanFilters(plan).exists(_.contains("(age > 30)")), s"plan:\n$plan")
   }
 
@@ -98,8 +95,8 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
     TestTables.withRules(noInlining) {
       val predicts = predictsIn(sparkPlan(fig1Ir))
       val root = TestModels.handTreePipeline.id
-      assert(predicts.nonEmpty && predicts.forall(p => p.modelId != root && ModelRegistry.rootOf(p.modelId) == root))
-      val pruned = ModelRegistry.get(predicts.head.modelId).model.asInstanceOf[DecisionTreeModel]
+      assert(predicts.nonEmpty && predicts.forall(p => p.modelId != root && p.derivation.map(_._1.id).contains(root)))
+      val pruned = predicts.head.pipeline.model.asInstanceOf[DecisionTreeModel]
       assert(pruned.nodeCount < TestModels.handTree.nodeCount)
     }
   }
@@ -108,7 +105,7 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
     TestTables.withRules(noInlining) {
       val predicts = predictsIn(sparkPlan(analyze(fig0Sql)))
       // pregnant=0 branch of the hand tree uses only age
-      assert(predicts.nonEmpty && predicts.forall(p => ModelRegistry.get(p.modelId).inputCols == Seq("age")))
+      assert(predicts.nonEmpty && predicts.forall(p => p.pipeline.inputCols == Seq("age")))
       assert(predicts.forall(_.children.size == 1))
     }
   }
@@ -123,7 +120,7 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("join elimination drops FK joins that contribute nothing (pregnant=0: no prenatal columns)") {
-    TestTables.withIntegrity() {
+    TestTables.withIntegrity(TestTables.parquetOptimized) {
       val plan = sparkPlan(analyze(fig0Sql), TestTables.parquetOptimized)
       // the pruned model reads only age, so blood_tests and prenatal_tests supply nothing
       assert(joinsIn(plan) == 0, s"plan:\n$plan")
@@ -136,7 +133,7 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
     Seq("patient_info", "blood_tests", "prenatal_tests").foreach(t => noFk.register(catalog.table(t)))
     val sql = """SELECT patient_id, age FROM patient_info
                 |JOIN prenatal_tests ON patient_info.patient_id = prenatal_tests.patient_id""".stripMargin
-    def joins(c: SchemaCatalog) = TestTables.withIntegrity(c) {
+    def joins(c: SchemaCatalog) = TestTables.withIntegrity(TestTables.parquetOptimized, c) {
       joinsIn(sparkPlan(StaticAnalyzer.analyzeSql(sql, c, store), TestTables.parquetOptimized))
     }
     assert(joins(noFk) == 1)
@@ -191,7 +188,7 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
     val ir = analyze(fig0Sql.replace("> 7", "> 3"))
     val baseline = run(ir, TestTables.parquetReference)
     assert(baseline.count() > 0)
-    TestTables.withIntegrity() {
+    TestTables.withIntegrity(TestTables.parquetOptimized) {
       val df = run(ir, TestTables.parquetOptimized)
       assert(joinsIn(df.queryExecution.optimizedPlan) == 0)
       TestTables.assertSameRows(baseline, df)
@@ -202,7 +199,7 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
     val df = run(fig1Ir)
     assert(predictsIn(df.queryExecution.optimizedPlan).isEmpty, "the model must be inlined")
     // the reference: the unoptimized query, with the original model as CASE
-    val sqlRef = OracleSql.toSql(fig1Ir.ir, fig1Ir.pipelines)
+    val sqlRef = OracleSql.toSql(fig1Ir.ir)
     assert(sqlRef.isDefined, "a tree predict must render as portable SQL")
     val tables = TestTables.tables(spark)
     Oracle.assertEquivalent(
@@ -218,7 +215,7 @@ class CrossOptimizerSpec extends AnyFunSuite with SparkSpec {
     val ir = analyze(sql)
     val predicts = predictsIn(sparkPlan(ir))
     assert(predicts.nonEmpty)
-    val derived = ModelRegistry.get(predicts.head.modelId)
+    val derived = predicts.head.pipeline
     assert(!derived.inputCols.contains("dest"))
     assert(derived.pipeline.numFeatures < TestModels.flightLrPipeline.pipeline.numFeatures)
     // semantics preserved

@@ -1,7 +1,7 @@
 package repro.data
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
+import repro.{SparkSpec, TestTables}
 
 class DatasetsSpec extends AnyFunSuite with SparkSpec {
 
@@ -96,7 +96,7 @@ class DatasetsSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("flight Spark DataFrame matches local rows") {
-    val df = FlightData.flightsDf(spark, 50).collect()
+    val df = TestTables.flightsDf(spark, 50).collect()
     val local = FlightData.localFlights(50)
     val byId = df.map(r => r.getAs[Long]("flight_id") -> r).toMap
     local.foreach { f =>

@@ -1,6 +1,7 @@
 package repro.linalg
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestSyntax._
 
 class TensorSpec extends AnyFunSuite {
 
@@ -100,11 +101,6 @@ class TensorSpec extends AnyFunSuite {
 
   test("concat rejects differing row counts") {
     assertThrows[IllegalArgumentException](Tensor.zeros(2, 1).concat(Tensor.zeros(3, 1)))
-  }
-
-  test("sumRows") {
-    val a = Tensor.ofRows(Array(Array(1f, 2f, 3f), Array(-1f, 1f, 0f)))
-    assert(a.sumRows.data.toSeq == Seq(6f, 0f))
   }
 
   test("ofRows rejects ragged input") {

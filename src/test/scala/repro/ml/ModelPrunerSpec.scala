@@ -25,7 +25,6 @@ class ModelPrunerSpec extends AnyFunSuite {
     assert(ge.alwaysAtLeast(2.0) && !ge.alwaysAtLeast(2.5))
     val i = lt.intersect(FeatureConstraint.atLeast(1.0))
     assert(i.contains(2.0) && !i.contains(3.0) && !i.contains(0.5))
-    assert(FeatureConstraint().isUnbounded)
   }
 
   test("pruned tree equals original on constraint-satisfying inputs (500 random trees)") {

@@ -2,6 +2,7 @@ package repro.onnx
 
 import java.nio.file.Files
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestSyntax._
 import repro.linalg.Tensor
 
 class ModelFormatSpec extends AnyFunSuite {

@@ -1,6 +1,7 @@
 package repro.onnx
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestSyntax._
 import repro.linalg.Tensor
 
 class SessionSpec extends AnyFunSuite {

@@ -93,22 +93,37 @@ class RuntimesSpec extends SparkSpec {
     assert(gpu.run(nn.feeds(xs)).data.map(_.toDouble).sameElements(nn.predictRawBatch(xs)))
   }
 
-  test("a category written as a number scores the same through the standalone, external and raven_predict paths") {
+  /** The sum of `1.0 a + 10.0 [c = "1"] + 100.0 [c = "2"]` over rows `(a, c)` by `raven_predict`, after
+    * checking that the standalone run and both external modes score the rows' CSV to the same sum.
+    */
+  private def sumOnEveryPath(rs: IndexedSeq[IndexedSeq[Any]]): Double = {
     val pipe = FeaturePipeline(Seq("a"), Seq(OneHotEncoder("c", IndexedSeq("1", "2"))))
-    val cat = ModelPipeline("csv_category", pipe, None, LinearModel(Array(1.0, 10.0, 100.0), 0.0, logistic = false))
-    val rs = IndexedSeq(IndexedSeq(0.5, "1"), IndexedSeq(0.25, "2"), IndexedSeq(2.0, "3"))
+    val mp = ModelPipeline("csv_paths", pipe, None, LinearModel(Array(1.0, 10.0, 100.0), 0.0, logistic = false))
     val dir = Files.createTempDirectory("model")
-    OrtStandalone.saveModel(NNTranslator.translatePipeline(cat), pipe, dir)
-    ModelRegistry.save(cat, dir.resolve("classic.bin"))
+    OrtStandalone.saveModel(NNTranslator.translatePipeline(mp), pipe, dir)
+    ModelRegistry.save(mp, dir.resolve("classic.bin"))
     val csv = csvOf(rs)
     Raven.installRuntimeOnly(spark)
-    Raven.deploy(cat)
+    Raven.deploy(mp)
     val schema = StructType(Seq(StructField("a", DoubleType), StructField("c", StringType)))
     val df = spark.createDataFrame(java.util.Arrays.asList(rs.map(Row.fromSeq): _*), schema)
-    val want = df.selectExpr(s"sum(${Raven.predictSql(cat.id)})").head().getDouble(0)
-    assert(want == 0.5 + 10 + 0.25 + 100 + 2.0)
+    val want = df.selectExpr(s"sum(${Raven.predictSql(mp.id)})").head().getDouble(0)
     assert(OrtStandalone.run(dir, csv).checksum == want)
     for (mode <- Seq("nn", "classic")) assert(OutOfProcess.run(dir, csv, mode = mode).checksum == want, mode)
+    want
+  }
+
+  test("a category written as a number scores the same through the standalone, external and raven_predict paths") {
+    assert(sumOnEveryPath(IndexedSeq(IndexedSeq(0.5, "1"), IndexedSeq(0.25, "2"), IndexedSeq(2.0, "3"))) ==
+      0.5 + 10 + 0.25 + 100 + 2.0)
+  }
+
+  test("a NULL scores alike on the CSV paths and in raven_predict") {
+    val rs = IndexedSeq(IndexedSeq(null, "1"), IndexedSeq(2.0, null))
+    val f = csvOf(rs)
+    assert(CsvData.readBatches(f, 10).flatten.toIndexedSeq == IndexedSeq(IndexedSeq(null, "1"), IndexedSeq("2.0", null)))
+    Files.delete(f)
+    assert(sumOnEveryPath(rs) == 10.0 + 2.0)
   }
 
   test("a CSV row of the wrong arity fails the standalone run with the pipeline's message") {

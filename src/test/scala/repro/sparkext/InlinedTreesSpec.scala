@@ -3,6 +3,7 @@ package repro.sparkext
 import java.nio.file.Files
 import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.catalyst.analysis.UnresolvedAttribute
 import org.apache.spark.sql.catalyst.expressions.codegen.ByteCodeStats
 import org.apache.spark.sql.execution.debug.codegenStringSeq
 import org.apache.spark.sql.types._
@@ -110,13 +111,11 @@ class InlinedTreesSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("inlined trees equal predictRaw bit for bit, in generated and in interpreted code") {
-    Seq(TestModels.handTreePipeline, TestModels.hospitalForestPipeline, TestModels.hospitalTreePipeline,
-      TestModels.hospitalForestLarge, TestModels.hospitalTreeDeep, stumps).foreach(Raven.deploy)
-    val pruned = ModelRegistry.deriveFor(TestModels.hospitalForestPipeline.id,
-      Seq(NumRange("pregnant", FeatureConstraint.equalTo(1.0))))
-    val models = Seq(TestModels.handTreePipeline.id, TestModels.hospitalForestPipeline.id, pruned,
-      TestModels.hospitalTreePipeline.id, TestModels.hospitalForestLarge.id, TestModels.hospitalTreeDeep.id, stumps.id)
-      .map(ModelRegistry.get)
+    val pruned = TestModels.hospitalForestPipeline.optimizeFor(Seq(NumRange("pregnant", FeatureConstraint.equalTo(1.0))))
+      ._1.copy(id = "hospital_rf_pregnant")
+    val models = Seq(TestModels.handTreePipeline, TestModels.hospitalForestPipeline, pruned,
+      TestModels.hospitalTreePipeline, TestModels.hospitalForestLarge, TestModels.hospitalTreeDeep, stumps)
+    models.foreach(Raven.deploy)
     assert(models(2).model.asInstanceOf[RandomForestModel].totalNodes <
       TestModels.hospitalForest.totalNodes, "the variant is not pruned")
 
@@ -141,7 +140,7 @@ class InlinedTreesSpec extends AnyFunSuite with SparkSpec {
         val df = optimized.sql(s"SELECT id, ${Raven.predictSql(mp.id)} AS score FROM t")
         val node = inlined(df)
         assert(node.size == 1, df.queryExecution.optimizedPlan)
-        val trees = ModelRegistry.get(node.head.variantId).model match {
+        val trees = node.head.scored.model match {
           case t: DecisionTreeModel => s"1 trees, ${t.nodeCount} nodes"
           case f: RandomForestModel => s"${f.trees.size} trees, ${f.totalNodes} nodes"
           case other                => fail(s"not a tree model: $other")
@@ -164,7 +163,7 @@ class InlinedTreesSpec extends AnyFunSuite with SparkSpec {
       Split(off + enc.indexOf("F"), 0.5, Split(0, 35.0, Leaf(1.0), Leaf(2.0)), Leaf(3.0)),
       pipe.numFeatures, isClassifier = false))
     Raven.deploy(root)
-    val variant = ModelRegistry.get(ModelRegistry.deriveFor(root.id, Nil))
+    val variant = PredictExpression(root, root.inputCols.map(UnresolvedAttribute(_))).specializedFor(Nil).pipeline
     assert(variant.pipeline == FeaturePipeline(Seq("age"), Seq(OneHotEncoder("gender", IndexedSeq("F")))))
 
     val base = HospitalData.localJoined(1).head.copy(age = 40)

@@ -23,7 +23,7 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
     Raven.deploy(TestModels.handTreePipeline)
     Raven.deploy(TestModels.flightLrPipeline)
     spark.experimental.extraOptimizations = Nil
-    RavenRules.RavenIntegrity.clear()
+    RavenRules.RavenIntegrity.clear(spark)
   }
 
   override def afterEach(): Unit = {
@@ -113,7 +113,7 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
       val predicts = predictsIn(df.queryExecution.optimizedPlan)
       assert(predicts.nonEmpty)
       assert(predicts.forall(_.modelId != TestModels.handTreePipeline.id), s"not specialized: $predicts")
-      val derived = ModelRegistry.get(predicts.head.modelId)
+      val derived = predicts.head.pipeline
       assert(derived.model.asInstanceOf[DecisionTreeModel].nodeCount < TestModels.handTree.nodeCount)
       // results identical to the unoptimized run
       val got = df.collect().map(r => (r.getLong(0), r.getDouble(1))).sortBy(_._1)
@@ -146,7 +146,7 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
       val df = spark.sql(
         s"SELECT patient_id, $handSql AS score FROM patients_all WHERE pregnant = 1 AND bp >= 140")
       val predicts = predictsIn(df.queryExecution.optimizedPlan)
-      val derived = ModelRegistry.get(predicts.head.modelId)
+      val derived = predicts.head.pipeline
       val tree = derived.model.asInstanceOf[DecisionTreeModel]
       assert(tree.nodeCount == 3, s"expected only the age split, got ${tree.nodeCount} nodes")
     }
@@ -173,7 +173,7 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
     val aged = s"SELECT patient_id, $handSql AS s FROM patients_all WHERE pregnant = 1 AND age > 35.5"
     assert(scores(aged).nonEmpty)
     withRules(Seq(RavenRules.ModelSpecialization)) {
-      val tree = ModelRegistry.get(predictsIn(spark.sql(aged).queryExecution.optimizedPlan).head.modelId).model
+      val tree = predictsIn(spark.sql(aged).queryExecution.optimizedPlan).head.pipeline.model
       assert(tree.asInstanceOf[DecisionTreeModel].nodeCount == 3, s"expected only the bp split, got $tree")
     }
   }
@@ -207,7 +207,7 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
            |ON a.patient_id = b.patient_id""".stripMargin)
       val predicts = predictsIn(df.queryExecution.optimizedPlan)
       assert(predicts.nonEmpty)
-      assert(predicts.forall(p => ModelRegistry.get(p.modelId).model.asInstanceOf[DecisionTreeModel].nodeCount ==
+      assert(predicts.forall(p => p.pipeline.model.asInstanceOf[DecisionTreeModel].nodeCount ==
         TestModels.handTree.nodeCount), "outer-join nullable-side constraint must not prune")
     }
   }
@@ -239,7 +239,7 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
       val df = spark.sql(s"SELECT flight_id, ${Raven.predictSql("flight_lr_blocksparse")} AS p FROM flights")
       val predicts = predictsIn(df.queryExecution.optimizedPlan)
       assert(predicts.nonEmpty)
-      val derived = ModelRegistry.get(predicts.head.modelId)
+      val derived = predicts.head.pipeline
       assert(derived.inputCols == pipe.inputCols.filterNot(Set("origin", "dest")))
       assert(predicts.head.children.size == derived.inputCols.size)
       assert(derived.pipeline.numFeatures == mp.pipeline.numFeatures - 200)
@@ -285,14 +285,14 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
   }
 
   test("join elimination drops a contribution-free FK join") {
-    TestTables.withIntegrity() {
+    TestTables.withIntegrity(TestTables.parquetOptimized) {
       assert(joinsLeftWithSameRows(joinedWith("prenatal_tests")) == 0)
       assert(TestTables.parquetOptimized.sql(joinedWith("prenatal_tests")).count() == TestTables.HospitalN)
     }
   }
 
   test("join elimination drops both joins of the Fig. 1 query under pregnant = 0") {
-    TestTables.withIntegrity() {
+    TestTables.withIntegrity(TestTables.parquetOptimized) {
       assert(joinsLeftWithSameRows(fig1("p.pregnant = 0")) == 0)
       // the tree pruned for pregnant = 1 reads bp: the prenatal join stays
       assert(joinsLeftWithSameRows(fig1("p.pregnant = 1")) == 1)
@@ -301,21 +301,21 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
 
   test("join elimination drops both joins of the windowed Fig. 1 query") {
     // Spark infers patient_id < 1000 on the joined tables too: an implied filter
-    TestTables.withIntegrity() {
+    TestTables.withIntegrity(TestTables.parquetOptimized) {
       assert(joinsLeftWithSameRows(fig1("p.patient_id < 1000 AND p.pregnant = 0")) == 0)
     }
   }
 
   test("join elimination keeps excluding a NULL patient_id") {
     assert(TestTables.parquetReference.sql("SELECT * FROM patient_info WHERE patient_id IS NULL").count() == 1)
-    TestTables.withIntegrity() {
+    TestTables.withIntegrity(TestTables.parquetOptimized) {
       assert(joinsLeft(joinedWith("prenatal_tests")) == 0)
       assert(TestTables.parquetOptimized.sql(joinedWith("prenatal_tests")).where("patient_id IS NULL").count() == 0)
     }
   }
 
   test("join elimination keeps a fan-out join on a declared column name") {
-    TestTables.withIntegrity() {
+    TestTables.withIntegrity(TestTables.parquetOptimized) {
       declareByColumnName()
       assert(joinsLeftWithSameRows(joinedWith("visits")) == 1)
     }
@@ -333,19 +333,19 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
     twice.register(cat.table("prenatal_tests").copy(name = "prenatal_copy"))
       .registerFk(ForeignKey("patient_info", "patient_id", "prenatal_tests", "patient_id"))
       .registerFk(ForeignKey("patient_info", "patient_id", "prenatal_copy", "patient_id"))
-    TestTables.withIntegrity()(assert(joinsLeft(joinedWith("prenatal_archive")) == 1))
-    TestTables.withIntegrity(twice)(assert(joinsLeft(joinedWith("prenatal_tests")) == 1))
+    TestTables.withIntegrity(TestTables.parquetOptimized)(assert(joinsLeft(joinedWith("prenatal_archive")) == 1))
+    TestTables.withIntegrity(TestTables.parquetOptimized, twice)(assert(joinsLeft(joinedWith("prenatal_tests")) == 1))
   }
 
   test("join elimination does not fire without a declared constraint") {
     assert(joinsLeft(joinedWith("prenatal_tests")) == 1)
     val noFk = new SchemaCatalog() // the tables and their keys, no FK
     TestTables.hospitalCatalog.tableNames.foreach(t => noFk.register(TestTables.hospitalCatalog.table(t)))
-    TestTables.withIntegrity(noFk)(assert(joinsLeft(joinedWith("prenatal_tests")) == 1))
+    TestTables.withIntegrity(TestTables.parquetOptimized, noFk)(assert(joinsLeft(joinedWith("prenatal_tests")) == 1))
   }
 
   test("join elimination does not fire when the right side is filtered") {
-    TestTables.withIntegrity() {
+    TestTables.withIntegrity(TestTables.parquetOptimized) {
       assert(joinsLeftWithSameRows(joinedWith("(SELECT * FROM prenatal_tests WHERE bp > 120)")) == 1)
     }
   }
@@ -393,7 +393,7 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
   }
 
   test("full install: Fig-1 query end-to-end with all rules, oracle-checked against inlined SQL") {
-    TestTables.withIntegrity()(withRules(Raven.rules) {
+    TestTables.withIntegrity(spark)(withRules(Raven.rules) {
       val query =
         s"""SELECT p.patient_id AS patient_id, $handSql AS score
            |FROM patient_info p
@@ -524,13 +524,88 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
     assert(s.experimental.extraOptimizations == rules)
   }
 
-  test("derived model memoization is stable") {
-    val id1 = ModelRegistry.deriveFor(TestModels.handTreePipeline.id, Seq(NumRange("pregnant", FeatureConstraint.equalTo(1.0))))
-    val id2 = ModelRegistry.deriveFor(TestModels.handTreePipeline.id, Seq(NumRange("pregnant", FeatureConstraint.equalTo(1.0))))
-    assert(id1 == id2)
-    // deriving from the derived model with the same constraints is a fixpoint
-    val id3 = ModelRegistry.deriveFor(id1, Seq(NumRange("pregnant", FeatureConstraint.equalTo(1.0))))
-    assert(id3 == id1)
+  test("re-specializing an optimized plan returns the same plan") {
+    val flight = Raven.predictSql(TestModels.flightLrPipeline.id)
+    val queries = Seq(
+      s"SELECT patient_id, $handSql AS score FROM patients_all WHERE pregnant = 1",
+      s"SELECT patient_id, $handSql AS score FROM patients_all",
+      s"SELECT flight_id, $flight AS p FROM flights WHERE month = 1 AND dest = 'AP00' AND dep_hour > 17",
+      s"SELECT flight_id, $flight AS p FROM flights")
+    // the hand tree would inline
+    withRules(Raven.rules.filterNot(_ == RavenRules.ModelInlining)) {
+      for (sql <- queries) {
+        val plan = spark.sql(sql).queryExecution.optimizedPlan
+        assert(predictsIn(plan).nonEmpty && predictsIn(plan).forall(_.modelId.contains('#')), plan)
+        assert(RavenRules.ModelSpecialization(plan).fastEquals(plan), plan)
+      }
+    }
+  }
+
+  test("a plan prints a predict's model id, never its model") {
+    val mp = TestModels.hospitalMlpPipeline
+    Raven.deploy(mp)
+    val df = TestTables.optimized.sql(s"SELECT patient_id, ${Raven.predictSql(mp.id)} AS s FROM patients_all WHERE pregnant = 1")
+    val plan = df.queryExecution.optimizedPlan
+    assert(predictsIn(plan).map(_.modelId) == Seq(mp.id))
+    for (text <- Seq(plan.toString, df.queryExecution.toString)) {
+      assert(text.contains(s"raven_predict(${mp.id}, "), text)
+      assert(!text.contains("ModelPipeline(") && !text.contains("MlpModel"), text)
+    }
+  }
+
+  test("a DataFrame scores with the pipeline it was analyzed with") {
+    val numFeatures = HospitalData.pipeline.numFeatures
+    def lr(w: Double, b: Double) = ModelPipeline("redeployed_lr", HospitalData.pipeline, None,
+      LinearModel(Array.tabulate(numFeatures)(i => w * (i + 1)), b, logistic = false))
+    val dt = TestModels.handTreePipeline.copy(id = "redeployed_inlined_dt")
+    val constant = ModelPipeline(dt.id, HospitalData.pipeline, None,
+      DecisionTreeModel(Leaf(1000.0), numFeatures, isClassifier = false))
+    // (session, pipeline before and after the redeploy, cohort): the per-row LR variant, the
+    // runtime-only root and the inlined tree
+    val paths = Seq((TestTables.optimized, lr(0.1, 1.0), lr(0.2, 7.0), "pregnant = 1"),
+      (TestTables.reference, lr(0.1, 1.0), lr(0.2, 7.0), "true"), (TestTables.optimized, dt, constant, "pregnant = 1"))
+    def frame(s: SparkSession, id: String, cohort: String): DataFrame =
+      RavenRuntime.predictBatch(s.table("patients_all").where(cohort), id, "score")
+    def assertScoresWith(df: DataFrame, mp: ModelPipeline, what: String): Unit = {
+      val rows = df.collect()
+      assert(rows.nonEmpty, what)
+      for (r <- rows) {
+        val want = mp.predictRaw(mp.inputCols.map(c => r.get(r.fieldIndex(c))).toIndexedSeq)
+        val got = r.getAs[Double]("score")
+        assert(math.abs(got - want) <= 1e-9 * (1 + math.abs(want)), s"$what: row ${r.getAs[Long]("patient_id")}: $got, not $want")
+      }
+    }
+    paths.foreach(p => Raven.deploy(p._2))
+    val built = paths.map { case (s, old, _, cohort) => frame(s, old.id, cohort) }
+    paths.foreach(p => Raven.deploy(p._3))
+    for (((s, old, redeployed, cohort), df) <- paths.zip(built)) {
+      assertScoresWith(df, old, s"${old.id} on $cohort, built before the redeploy")
+      assertScoresWith(frame(s, old.id, cohort), redeployed, s"${old.id} on $cohort, built after the redeploy")
+    }
+    // the three paths: a per-row variant, the root as deployed, and no predict left
+    assert(built.map(df => predictsIn(df.queryExecution.optimizedPlan).map(_.modelId.contains('#'))) ==
+      Seq(Seq(true), Seq(false), Nil))
+  }
+
+  test("integrity licenses join elimination in its own session only") {
+    val dir = java.nio.file.Files.createTempDirectory("raven-integrity")
+    try {
+      // another session with Raven, where prenatal_tests has two rows per patient_id
+      val other = SparkSpec.shared.newSession()
+      Raven.install(other)
+      val keys = "patient_id BETWEEN 0 AND 99"
+      val prenatal = TestTables.parquetReference.table("prenatal_tests").where(keys)
+      TestTables.parquetReference.table("patient_info").where(keys).write.parquet(dir.resolve("patient_info").toString)
+      prenatal.unionAll(prenatal).write.parquet(dir.resolve("prenatal_tests").toString)
+      Seq("patient_info", "prenatal_tests").foreach(t => other.read.parquet(dir.resolve(t).toString).createOrReplaceTempView(t))
+      val sql = "SELECT p.patient_id, p.age FROM patient_info p JOIN prenatal_tests t ON p.patient_id = t.patient_id"
+      assert(other.sql(sql).count() == 200)
+      TestTables.withIntegrity(TestTables.parquetOptimized) {
+        assert(joinsLeft(joinedWith("prenatal_tests")) == 0)
+        assert(other.sql(sql).count() == 200)
+        assert(other.sql(sql).queryExecution.optimizedPlan.collect { case j: Join => j }.size == 1)
+      }
+    } finally org.apache.spark.network.util.JavaUtils.deleteRecursively(dir.toFile)
   }
 
   /** Each row's score under `sql`, as raw bits, by the key in the first column (NULL included). */
@@ -549,7 +624,8 @@ class RavenSparkSpec extends AnyFunSuite with SparkSpec with BeforeAndAfterEach 
     val reference = scoreBits(TestTables.parquetReference.sql(sql))
     assert(reference.nonEmpty)
     assert(scoreBits(TestTables.parquetOptimized.sql(sql)) == reference)
-    assert(ModelRegistry.deriveFor(mp.id, Nil) == mp.id, "an MLP has no variant")
+    val predicts = predictsIn(TestTables.parquetOptimized.sql(sql).queryExecution.optimizedPlan)
+    assert(predicts.map(_.modelId) == Seq(mp.id), "an MLP has no variant")
   }
 
   test("a NaN or infinite value of a zero-weight feature scores as without Raven's rules") {
